@@ -5,6 +5,7 @@ Times the computational kernels against instance size:
 * the Hungarian solve (offline winning-bid determination, O((n+γ)^3)),
 * the full offline VCG run (solve + one repair per winner),
 * the full online run (greedy + Algorithm-2 payments),
+* the live platform replaying a truthful round slot by slot,
 * the city-scale tier: CSR graph construction and the sparse backend's
   solve + VCG at ``num_slots`` in {200, 500, 1000}, far beyond what the
   dense matrix path is benchmarked at (the 1000-slot cases are marked
@@ -21,6 +22,7 @@ import tracemalloc
 
 import pytest
 
+from repro.auction import replay_scenario
 from repro.experiments.config import MechanismSpec
 from repro.experiments.sharding import CityConfig, run_sharded_campaign
 from repro.matching.graph import TaskAssignmentGraph
@@ -38,8 +40,8 @@ SPARSE_TIER = [
 #: The streaming-engine city tier: (phones, slots, bench rounds).  The
 #: CI smoke runs the 2·10⁴ case; 10⁵ and 10⁶ phones are ``slow``-marked
 #: and exist to demonstrate the event-driven engine at the scale the
-#: batch prober cannot reasonably reach (its means are committed under
-#: ``before_mean_seconds`` in BENCH_0007.json).
+#: snapshot-resume prober cannot reasonably reach (its means are
+#: committed under ``before_mean_seconds`` in BENCH_0007.json).
 CITY_TIER = [
     pytest.param(20_000, 200, 5, id="20000x200"),
     pytest.param(
@@ -147,13 +149,13 @@ def test_offline_vcg_scaling_sparse(benchmark, num_slots):
 def test_online_streaming_scaling(benchmark, num_phones, num_slots, rounds):
     """The full online round on the event-driven streaming engine.
 
-    Allocation plus every Algorithm-2 payment from one pass; the batch
-    engine on the same instances is the committed
+    Allocation plus every Algorithm-2 payment from one pass; the
+    snapshot-resume prober on the same instances is the committed
     ``before_mean_seconds`` baseline (≥5× at the 10⁵-phone tier).
     """
     scenario = _city_scenario(num_phones, num_slots)
     bids = scenario.truthful_bids()
-    mechanism = OnlineGreedyMechanism(engine="streaming")
+    mechanism = OnlineGreedyMechanism()
 
     outcome = benchmark.pedantic(
         mechanism.run,
@@ -162,6 +164,35 @@ def test_online_streaming_scaling(benchmark, num_phones, num_slots, rounds):
         iterations=1,
     )
     assert outcome.total_payment > 0.0
+
+
+#: The live-platform tier: (phones, slots, bench rounds).  CI's perf
+#: smoke runs and gates the 5·10³ case; the 2·10⁴ case is ``slow``.
+#: BENCH_0013.json holds, under ``before_mean_seconds``, the platform
+#: that kept its own heap and re-ran the whole allocation for every
+#: payment it settled.
+PLATFORM_TIER = [
+    pytest.param(5_000, 100, 5, id="5000x100"),
+    pytest.param(
+        20_000, 200, 3, id="20000x200", marks=pytest.mark.slow
+    ),
+]
+
+
+@pytest.mark.parametrize("num_phones,num_slots,rounds", PLATFORM_TIER)
+def test_platform_replay_scaling(benchmark, num_phones, num_slots, rounds):
+    """A truthful round through the live platform, one slot at a time.
+
+    ``replay_scenario`` builds the truthful bids, submits each in its
+    arrival slot, announces the tasks, closes every slot (allocation
+    and settlement of each departing winner) and finalizes.
+    """
+    scenario = _city_scenario(num_phones, num_slots)
+    outcome, events = benchmark.pedantic(
+        replay_scenario, args=(scenario,), rounds=rounds, iterations=1
+    )
+    assert outcome.total_payment > 0.0
+    assert len(events) > num_phones
 
 
 #: The sharded-campaign tier: (cities, phones/city, rounds/city, pool
@@ -201,7 +232,7 @@ def test_sharded_campaign_city_scale(
         CityConfig(f"city-{index}", workload, num_rounds=rounds_per_city)
         for index in range(num_cities)
     ]
-    mechanism = MechanismSpec.of("online-greedy", engine="streaming")
+    mechanism = MechanismSpec.of("online-greedy")
 
     result = benchmark.pedantic(
         run_sharded_campaign,

@@ -1,20 +1,25 @@
 """The incremental crowdsourcing platform of Fig. 1 / Section V.
 
-The batch :class:`~repro.mechanisms.OnlineGreedyMechanism` consumes a
-whole round at once; this class executes the *same* mechanism the way a
-deployed platform would:
+:class:`~repro.mechanisms.OnlineGreedyMechanism` consumes a whole round
+at once; this class executes the *same* mechanism the way a deployed
+platform would, on the same engine
+(:class:`~repro.mechanisms.StreamingGreedyEngine`) fed one slot at a
+time:
 
 * phones join and submit their bid in their (claimed) arrival slot,
 * sensing queries arrive and are announced per slot,
 * at slot close the newly announced tasks are allocated greedily to the
   cheapest active unallocated bids (Algorithm 1's loop body),
-* each winner's payment is computed and settled in its reported
-  departure slot (Algorithm 2 only needs bids that arrived by then, so
-  the computation is causally valid),
+* each winner's payment is read off the engine's per-slot records and
+  settled in its reported departure slot (Algorithm 2 only needs bids
+  that arrived by then and slots up to then, so the computation is
+  causally valid),
 * every state change is emitted as a typed event.
 
 The integration tests assert that a full platform run produces an
-outcome equal to the batch mechanism's on the same inputs.
+outcome equal to the mechanism's on the same inputs, and that every
+settled payment equals a cold re-run over the bids and tasks known when
+it settled.
 
 Fault recovery
 --------------
@@ -29,12 +34,18 @@ in-slot to the next cheapest active unallocated bid whose claimed window
 covers the task's slot (a bounded retry chain, ``max_reassignments`` per
 task).  When no faults are reported the behaviour — and the outcome — is
 identical to the fault-free platform.
+
+Two engines serve a round.  The *pricing* engine sees every bid and
+task and nothing else, so a settled amount is always the fault-free
+critical value over what was known at settlement (floored at the
+claimed cost for reassigned winners, whose critical value can sit below
+it).  The *allocating* engine's pool also loses dropped phones and
+serves reassignments.  With no fault reported the two select alike.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro import obs
 from repro.auction.events import (
@@ -51,14 +62,10 @@ from repro.auction.events import (
     TaskUnserved,
 )
 from repro.errors import MechanismError
-from repro.mechanisms.critical_payment import (
-    algorithm2_payment,
-    exact_critical_payment,
-)
-from repro.mechanisms.greedy_core import bid_sort_key
+from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
-from repro.model.task import SensingTask, TaskSchedule
+from repro.model.task import SensingTask
 from repro.utils.validation import check_positive, check_type
 
 
@@ -105,16 +112,19 @@ class CrowdsourcingPlatform:
                 f"max_reassignments must be >= 0, got {max_reassignments}"
             )
         self._num_slots = num_slots
-        self._reserve_price = bool(reserve_price)
         self._payment_rule = payment_rule
         self._max_reassignments = max_reassignments
 
         self._current_slot = 1
         self._finished = False
         self._finalized = False
-        self._all_bids: Dict[int, Bid] = {}
-        self._pool: List[Tuple[Tuple[float, int, int], Bid]] = []
-        self._tasks: List[SensingTask] = []
+        self._pricer = StreamingGreedyEngine.online(
+            num_slots, reserve_price=reserve_price
+        )
+        self._allocator = StreamingGreedyEngine.online(
+            num_slots, reserve_price=reserve_price
+        )
+        self._all_bids = self._pricer.bid_by_phone  # submission order
         self._tasks_by_id: Dict[int, SensingTask] = {}
         self._pending_tasks: List[SensingTask] = []
         self._next_task_id = 0
@@ -122,6 +132,7 @@ class CrowdsourcingPlatform:
         self._win_slots: Dict[int, int] = {}
         self._payments: Dict[int, float] = {}
         self._payment_slots: Dict[int, int] = {}
+        self._due: Dict[int, List[int]] = {}  # departure -> winners
         self._events: List[AuctionEvent] = []
         # -- fault-recovery state ---------------------------------------
         self._dropped: Dict[int, int] = {}      # phone -> drop slot
@@ -163,13 +174,7 @@ class CrowdsourcingPlatform:
     @property
     def pool_size(self) -> int:
         """Number of active, unallocated bids right now."""
-        return sum(
-            1
-            for _, bid in self._pool
-            if bid.departure >= self._current_slot
-            and bid.phone_id not in self._dropped
-            and bid.phone_id not in self._failed
-        )
+        return self._allocator.pool_size(self._current_slot)
 
     @property
     def dropped_phones(self) -> Dict[int, int]:
@@ -321,8 +326,8 @@ class CrowdsourcingPlatform:
         ``bid.arrival`` must equal the current slot.
         """
         self.validate_bid(bid)
-        self._all_bids[bid.phone_id] = bid
-        heapq.heappush(self._pool, (bid_sort_key(bid), bid))
+        self._pricer.push(bid)
+        self._allocator.push(bid)
         self._emit(
             BidSubmitted(
                 slot=self._current_slot,
@@ -337,9 +342,7 @@ class CrowdsourcingPlatform:
         """Announce ``count`` tasks of ``value`` arriving this slot."""
         self.validate_task_submission(count, value)
         created: List[SensingTask] = []
-        existing = sum(
-            1 for t in self._pending_tasks if t.slot == self._current_slot
-        )
+        existing = len(self._pending_tasks)
         for offset in range(count):
             task = SensingTask(
                 task_id=self._next_task_id,
@@ -371,6 +374,7 @@ class CrowdsourcingPlatform:
         self.validate_dropout(phone_id)
         slot = self._current_slot
         self._dropped[phone_id] = slot
+        self._allocator.drop(phone_id)
         self._emit(PhoneDropped(slot=slot, phone_id=phone_id))
         if phone_id in self._win_slots and phone_id not in self._delivered:
             self._fail_delivery(phone_id, reason="dropout")
@@ -419,13 +423,12 @@ class CrowdsourcingPlatform:
         count = self._reassign_counts.get(task_id, 0)
         candidate = None
         if count < self._max_reassignments:
-            candidate = self._pop_cheapest_covering(task)
+            candidate = self._allocator.pop_covering(slot, task)
         if candidate is None:
             self._emit(TaskUnserved(slot=slot, task_id=task_id))
             return
         self._reassign_counts[task_id] = count + 1
-        self._allocation[task_id] = candidate.phone_id
-        self._win_slots[candidate.phone_id] = task.slot
+        self._award(task, candidate)
         self._reassigned.add(candidate.phone_id)
         obs.counter("platform.reassignments")
         self._emit(
@@ -438,35 +441,11 @@ class CrowdsourcingPlatform:
             )
         )
 
-    def _pop_cheapest_covering(self, task: SensingTask) -> Optional[Bid]:
-        """Cheapest pooled bid whose claimed window covers ``task``'s slot.
-
-        Unlike :meth:`_pop_cheapest`, eligibility is not monotone in the
-        heap order (a cheap bid may have arrived after the task's slot),
-        so ineligible-but-alive entries are stashed and pushed back.
-        """
-        slot = self._current_slot
-        stash: List[Tuple[Tuple[float, int, int], Bid]] = []
-        chosen: Optional[Bid] = None
-        while self._pool:
-            key, candidate = heapq.heappop(self._pool)
-            if (
-                candidate.departure < slot
-                or candidate.phone_id in self._dropped
-                or candidate.phone_id in self._failed
-            ):
-                continue  # permanently gone; drop from the heap
-            if self._reserve_price and candidate.cost > task.value:
-                stash.append((key, candidate))
-                break  # heap is cost-ordered: nobody cheaper remains
-            if candidate.arrival > task.slot:
-                stash.append((key, candidate))
-                continue  # alive but cannot cover the task's slot
-            chosen = candidate
-            break
-        for entry in stash:
-            heapq.heappush(self._pool, entry)
-        return chosen
+    def _award(self, task: SensingTask, bid: Bid) -> None:
+        """Record ``bid`` as the winner of ``task``, due at departure."""
+        self._allocation[task.task_id] = bid.phone_id
+        self._win_slots[bid.phone_id] = task.slot
+        self._due.setdefault(bid.departure, []).append(bid.phone_id)
 
     # ------------------------------------------------------------------
     # Slot processing
@@ -480,17 +459,17 @@ class CrowdsourcingPlatform:
             "platform.slot", slot=slot, tasks=len(self._pending_tasks)
         ) as tel:
             events_before = len(self._events)
-            for task in self._pending_tasks:
-                chosen = self._pop_cheapest(slot, task.value)
-                self._tasks.append(task)
+            tasks = self._pending_tasks
+            self._pricer.close_slot(slot, tasks)
+            picks = self._allocator.close_slot(slot, tasks)
+            for task, chosen in zip(tasks, picks):
                 self._tasks_by_id[task.task_id] = task
                 if chosen is None:
                     self._emit(
                         TaskUnserved(slot=slot, task_id=task.task_id)
                     )
                     continue
-                self._allocation[task.task_id] = chosen.phone_id
-                self._win_slots[chosen.phone_id] = slot
+                self._award(task, chosen)
                 self._emit(
                     TaskAllocated(
                         slot=slot,
@@ -514,70 +493,37 @@ class CrowdsourcingPlatform:
         else:
             self._current_slot += 1
 
-    def _pop_cheapest(self, slot: int, task_value: float) -> Optional[Bid]:
-        """The cheapest active pooled bid, honouring the reserve price."""
-        while self._pool:
-            _, candidate = self._pool[0]
-            if (
-                candidate.departure < slot
-                or candidate.phone_id in self._dropped
-                or candidate.phone_id in self._failed
-            ):
-                heapq.heappop(self._pool)
-                continue
-            if self._reserve_price and candidate.cost > task_value:
-                return None
-            return heapq.heappop(self._pool)[1]
-        return None
-
     def _settle_departures(self, slot: int) -> None:
         """Confirm deliveries and pay winners departing this slot.
 
-        Algorithm 2 only consumes bids that arrived by the winner's
-        departure and tasks announced by then — all known now — so the
-        payment computed here equals the batch mechanism's.
+        Payments are read off the pricing engine, whose records cover
+        every bid and task known now — all that Algorithm 2 consumes for
+        a winner departing now — so the amount equals the mechanism's.
 
         A due winner previously marked unreliable
         (:meth:`report_task_failure`) fails instead of delivering; the
         resulting reallocation may hand the task to another phone that is
-        *also* due this slot, so the scan repeats until no due winner
+        *also* due this slot, so settlement repeats until no due winner
         remains (the chain is finite: every failure burns a phone).
         """
-        schedule_so_far = TaskSchedule(
-            num_slots=self._num_slots, tasks=self._tasks
-        )
-        known_bids = list(self._all_bids.values())
         while True:
-            due = [
-                (phone_id, win_slot)
-                for phone_id, win_slot in self._win_slots.items()
-                if phone_id not in self._payments
-                and self._all_bids[phone_id].departure == slot
-            ]
+            due = self._due.pop(slot, None)
             if not due:
                 return
-            for phone_id, win_slot in due:
-                if self._win_slots.get(phone_id) != win_slot:
-                    continue  # reassigned away during this scan
+            for phone_id in due:
+                win_slot = self._win_slots.get(phone_id)
+                if win_slot is None:
+                    continue  # failed before its departure
                 if phone_id in self._unreliable:
                     self._fail_delivery(phone_id, reason="no-delivery")
                     continue
                 winner = self._all_bids[phone_id]
                 if self._payment_rule == "paper":
-                    amount = algorithm2_payment(
-                        known_bids,
-                        schedule_so_far,
-                        winner,
-                        win_slot,
-                        reserve_price=self._reserve_price,
+                    amount = self._pricer.algorithm2_payment(
+                        winner, win_slot
                     )
                 else:
-                    amount = exact_critical_payment(
-                        known_bids,
-                        schedule_so_far,
-                        winner,
-                        reserve_price=self._reserve_price,
-                    )
+                    amount = self._pricer.exact_payment(winner)
                 if phone_id in self._reassigned and amount < winner.cost:
                     # A recovery winner was not the greedy choice in its
                     # task's slot, so its critical value can sit below its
@@ -611,10 +557,9 @@ class CrowdsourcingPlatform:
         """The round's outcome; requires every slot to be closed."""
         self.validate_finalize()
         self._finalized = True
-        schedule = TaskSchedule(num_slots=self._num_slots, tasks=self._tasks)
         return AuctionOutcome(
             bids=list(self._all_bids.values()),
-            schedule=schedule,
+            schedule=self._pricer.schedule,
             allocation=self._allocation,
             payments=self._payments,
             payment_slots=self._payment_slots,

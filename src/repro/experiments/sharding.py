@@ -436,7 +436,7 @@ def encode_checkpoint_record(round_index: int, blob: bytes) -> bytes:
     The checksum covers the canonical JSON of the record body (the
     sweep-checkpoint convention from
     :mod:`repro.experiments.checkpoint`), so torn or corrupted lines are
-    detected on load and treated as end-of-log.
+    detected on load (:func:`load_shard_checkpoint`).
     """
     body = {
         "schema": SHARD_CHECKPOINT_SCHEMA,
@@ -451,36 +451,47 @@ def encode_checkpoint_record(round_index: int, blob: bytes) -> bytes:
 def load_shard_checkpoint(
     path: "os.PathLike[str]",
 ) -> Dict[int, bytes]:
-    """Load the valid prefix of a shard checkpoint; truncate the rest.
+    """Load a shard checkpoint, repairing a torn final line.
 
-    Returns ``round_index -> pickled SimulationResult`` for every intact
-    record.  The first unparseable or checksum-failing line (a torn tail
-    from a crash mid-append) ends the valid prefix; the file is truncated
-    back to it so resumed appends continue a clean log.  A later record
-    for an already-seen round wins (duplicate appends from a crash
-    between write and fsync are harmless).
+    Returns ``round_index -> pickled SimulationResult`` for every
+    record.  The write-ahead journal's contract applies: only the
+    *final* line may be bad — unparseable, checksum-failing, or intact
+    but missing its newline — which is the signature of a crash
+    mid-append; the file is truncated back to the line's start so
+    resumed appends continue a clean log.  A bad line with an intact
+    record after it cannot come from a crash of the append-only writer,
+    so loading raises :class:`~repro.errors.CheckpointError` naming the
+    line and leaves the file untouched.  A later record for an
+    already-seen round wins (duplicate appends from a crash between
+    write and fsync are harmless).
     """
     target = pathlib.Path(path)
     try:
         raw = target.read_bytes()
     except FileNotFoundError:
         return {}
+    lines = raw.split(b"\n")
+    filled = [index for index, line in enumerate(lines) if line.strip()]
+    final = filled[-1] if filled else -1
     records: Dict[int, bytes] = {}
-    valid_bytes = 0
-    torn = False
-    for line in raw.split(b"\n"):
+    offset = 0
+    for index, line in enumerate(lines):
+        start = offset
+        offset += len(line) + 1
         if not line.strip():
-            valid_bytes += len(line) + 1
             continue
         blob = _decode_checkpoint_line(line)
-        if blob is None:
-            torn = True
-            break
-        records[blob[0]] = blob[1]
-        valid_bytes += len(line) + 1
-    if torn:
+        if blob is not None and (index < len(lines) - 1):
+            records[blob[0]] = blob[1]
+            continue
+        if index != final:
+            raise CheckpointError(
+                f"{target}: line {index + 1} is corrupt but intact "
+                f"records follow it; a crash only tears the final line, "
+                f"so the file is left as it is"
+            )
         with open(target, "r+b") as handle:
-            handle.truncate(min(valid_bytes, len(raw)))
+            handle.truncate(start)
         obs.counter("campaign.shard.checkpoint.torn")
     return records
 

@@ -15,7 +15,6 @@ from repro.mechanisms.greedy_core import (
     GreedyProber,
     GreedyRun,
     bid_index,
-    run_greedy_allocation,
 )
 from repro.mechanisms.offline_vcg import OfflineVCGMechanism
 from repro.mechanisms.online_greedy import OnlineGreedyMechanism
@@ -34,7 +33,6 @@ __all__ = [
     "GreedyRun",
     "StreamingGreedyEngine",
     "bid_index",
-    "run_greedy_allocation",
     "available_mechanisms",
     "create_mechanism",
     "register_mechanism",

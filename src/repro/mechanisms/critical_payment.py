@@ -23,57 +23,41 @@ Two payment rules are provided:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from repro import obs
 from repro.errors import MechanismError
-from repro.mechanisms.greedy_core import GreedyProber, run_greedy_allocation
+from repro.mechanisms.greedy_core import GreedyProber
+from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
 from repro.model.task import TaskSchedule
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.mechanisms.streaming import StreamingGreedyEngine
 
-
-def _check_prober(
-    prober: GreedyProber,
+def _source(
     bids: Sequence[Bid],
+    schedule: TaskSchedule,
     reserve_price: bool,
-) -> None:
-    """Reject a prober built for different bids or a different reserve.
+    prober: Optional[GreedyProber],
+    engine: Optional[StreamingGreedyEngine],
+) -> Union[GreedyProber, StreamingGreedyEngine]:
+    """The engine or prober that answers a payment call.
 
-    A mismatched prober would silently compute payments for the wrong
-    auction, so the guard is strict equality on the full bid tuple.
+    A given engine (else prober) must have been built for exactly this
+    auction — a mismatched one would silently price another — so the
+    guard is strict equality on the reserve flag and the full bid
+    vector (identity first, so the common case is O(1)).  Without
+    either, a prober is built for the call.
     """
-    if prober.reserve_price != reserve_price:  # repro: noqa-REP002 -- boolean flag, not a money value
+    given = engine if engine is not None else prober
+    if given is None:
+        return GreedyProber(bids, schedule, reserve_price=reserve_price)
+    kind = "streaming engine" if given is engine else "prober"
+    if given.reserve_price != reserve_price:  # repro: noqa-REP002 -- boolean flag, not a money value
         raise MechanismError(
-            "prober reserve_price does not match the payment call"
+            f"{kind} reserve_price does not match the payment call"
         )
-    if not prober.covers(bids):
-        raise MechanismError(
-            "prober was built for a different bid vector"
-        )
-
-
-def _check_engine(
-    engine: "StreamingGreedyEngine",
-    bids: Sequence[Bid],
-    reserve_price: bool,
-) -> None:
-    """Reject a streaming engine built for a different auction.
-
-    Same strictness as :func:`_check_prober`: a mismatched engine would
-    silently price the wrong auction.
-    """
-    if engine.reserve_price != reserve_price:  # repro: noqa-REP002 -- boolean flag, not a money value
-        raise MechanismError(
-            "streaming engine reserve_price does not match the payment "
-            "call"
-        )
-    if not engine.covers(bids):
-        raise MechanismError(
-            "streaming engine was built for a different bid vector"
-        )
+    if not given.covers(bids):
+        raise MechanismError(f"{kind} was built for a different bid vector")
+    return given
 
 
 def algorithm2_payment(
@@ -83,77 +67,26 @@ def algorithm2_payment(
     win_slot: int,
     reserve_price: bool = False,
     prober: Optional[GreedyProber] = None,
-    engine: Optional["StreamingGreedyEngine"] = None,
+    engine: Optional[StreamingGreedyEngine] = None,
 ) -> float:
     """Algorithm 2 of the paper: pay the critical player's claimed cost.
 
-    Re-runs the greedy allocation without ``winner`` up to the winner's
-    reported departure and returns the maximum claimed cost among bids
-    that win in slots ``[win_slot, winner.departure]``, floored at the
-    winner's own claimed cost.  A :class:`~repro.mechanisms.greedy_core
-    .GreedyProber` built for the same bids makes the re-run incremental
-    (resumed from the winner's arrival slot) without changing the result.
-    A :class:`~repro.mechanisms.streaming.StreamingGreedyEngine` goes
-    further: when its displacement-cascade records apply, the payment is
-    read off without any re-run at all; otherwise the engine's fallback
-    prober takes over.  All three routes are bit-identical.
+    The re-run without ``winner`` up to its reported departure, and the
+    highest claimed cost among bids that win in slots ``[win_slot,
+    winner.departure]``, floored at the winner's own claimed cost.  A
+    :class:`~repro.mechanisms.streaming.StreamingGreedyEngine` reads it
+    off its per-slot records when they apply; a
+    :class:`~repro.mechanisms.greedy_core.GreedyProber` resumes the
+    re-run from the winner's arrival slot.  Without either, a prober is
+    built for the call.  All routes are bit-identical.
     """
     if not (winner.arrival <= win_slot <= winner.departure):
         raise MechanismError(
             f"win slot {win_slot} outside phone {winner.phone_id}'s "
             f"claimed window [{winner.arrival}, {winner.departure}]"
         )
-    with obs.span(
-        "payment.algorithm2", winner=winner.phone_id, win_slot=win_slot
-    ):
-        if engine is not None:
-            _check_engine(engine, bids, reserve_price)
-            recorded = engine.base_run.win_slots.get(winner.phone_id)
-            if engine.supports_incremental_payments and recorded in (
-                None,
-                win_slot,
-            ):
-                return engine.algorithm2_payment(winner, win_slot)
-            prober = engine.prober
-        if prober is not None:
-            _check_prober(prober, bids, reserve_price)
-            rerun = prober.run_excluding(
-                winner.phone_id, stop_after_slot=winner.departure
-            )
-        else:
-            rerun = run_greedy_allocation(
-                bids,
-                schedule,
-                exclude_phone=winner.phone_id,
-                reserve_price=reserve_price,
-                stop_after_slot=winner.departure,
-            )
-        payment = winner.cost
-        for other in rerun.winners_between(win_slot, winner.departure):
-            if other.cost > payment:
-                payment = other.cost
-        return payment
-
-
-def _wins_with_cost(
-    bids: Sequence[Bid],
-    schedule: TaskSchedule,
-    winner: Bid,
-    candidate_cost: float,
-    reserve_price: bool,
-) -> bool:
-    """Whether ``winner`` still wins after replacing its cost."""
-    replaced = [
-        bid.with_cost(candidate_cost) if bid.phone_id == winner.phone_id else bid
-        for bid in bids
-    ]
-    rerun = run_greedy_allocation(
-        replaced,
-        schedule,
-        reserve_price=reserve_price,
-        stop_after_slot=winner.departure,
-    )
-    return winner.phone_id in rerun.win_slots
+    source = _source(bids, schedule, reserve_price, prober, engine)
+    return source.algorithm2_payment(winner, win_slot)
 
 
 def exact_critical_payment(
@@ -162,114 +95,17 @@ def exact_critical_payment(
     winner: Bid,
     reserve_price: bool = False,
     prober: Optional[GreedyProber] = None,
-    engine: Optional["StreamingGreedyEngine"] = None,
+    engine: Optional[StreamingGreedyEngine] = None,
 ) -> float:
-    """The exact critical value of Definition 9, by binary search.
+    """The exact critical value of Definition 9.
 
-    Winning is monotone non-increasing in the claimed cost (Theorem 4's
-    monotonicity argument, verified by the property tests), and the
-    win/lose outcome can only change when the claimed cost crosses
-    another bid's cost (or the task value, when a reserve is active).
-    The supremum of winning costs is therefore attained at one of those
-    thresholds, found here with ``O(log n)`` greedy re-runs — or, when
-    a :class:`~repro.mechanisms.streaming.StreamingGreedyEngine` with
-    applicable incremental records is supplied, read directly off its
-    per-slot marginal thresholds with no re-run at all (bit-identical;
-    see the streaming module's docstring for the argument).
-
-    When the winner is uncontested — it would win at *any* price — the
-    critical value is unbounded.  With ``reserve_price`` the task value
-    caps it; without, we fall back to Algorithm 2's behaviour of paying
-    the winner's own claimed cost (and the caller inherits the
-    truthfulness caveat documented in the module docstring).
+    ``sup { b : winner still wins when bidding b }``: read off a
+    streaming engine's per-slot marginal thresholds for its own winners,
+    otherwise found by :meth:`GreedyProber.exact_payment`'s binary
+    search over the other bids' costs.  When the winner is uncontested
+    the critical value is unbounded: with ``reserve_price`` the task
+    value caps it; without, the winner is paid its own claimed cost (the
+    truthfulness caveat of the module docstring).
     """
-    if engine is not None:
-        _check_engine(engine, bids, reserve_price)
-        if (
-            engine.supports_incremental_payments
-            and winner.phone_id in engine.base_run.win_slots
-        ):
-            with obs.span(
-                "payment.exact", winner=winner.phone_id
-            ) as fast_tel:
-                fast_tel.set_attribute("probes", 0)
-                return engine.exact_payment(winner)
-        prober = engine.prober
-    if prober is not None:
-        _check_prober(prober, bids, reserve_price)
-    with obs.span("payment.exact", winner=winner.phone_id) as tel:
-        probes = 0
-
-        def probe(candidate_cost: float) -> bool:
-            nonlocal probes
-            probes += 1
-            if prober is not None:
-                rerun = prober.run_with_cost(
-                    winner,
-                    candidate_cost,
-                    stop_after_slot=winner.departure,
-                )
-                return winner.phone_id in rerun.win_slots
-            return _wins_with_cost(
-                bids, schedule, winner, candidate_cost, reserve_price
-            )
-
-        try:
-            if prober is not None:
-                thresholds: List[float] = prober.exact_thresholds(winner)
-            else:
-                thresholds = sorted(
-                    {
-                        bid.cost
-                        for bid in bids
-                        if bid.phone_id != winner.phone_id
-                    }
-                    | (
-                        {task.value for task in schedule}
-                        if reserve_price
-                        else set()
-                    )
-                )
-                thresholds = [t for t in thresholds if t > 0.0]
-
-            if not thresholds:
-                return winner.cost
-
-            # Probe strictly above the largest threshold: uncontested?
-            above_all = thresholds[-1] + 1.0
-            if probe(above_all):
-                return winner.cost if not reserve_price else max(
-                    thresholds[-1], winner.cost
-                )
-
-            # Probe region k is (thresholds[k-1], thresholds[k]); its
-            # representative is a midpoint.  Winning is monotone over
-            # regions, so binary-search the last winning region; the
-            # critical value is that region's right endpoint.
-            def representative(region: int) -> float:
-                upper = thresholds[region]
-                lower = 0.0 if region == 0 else thresholds[region - 1]
-                return (lower + upper) / 2.0
-
-            low, high = 0, len(thresholds) - 1
-            # Invariant: the winner wins somewhere at or below region
-            # `high + 1`'s lower edge; it won with its submitted bid, so
-            # the region containing its own cost wins.
-            best: Optional[int] = None
-            while low <= high:
-                mid = (low + high) // 2
-                if probe(representative(mid)):
-                    best = mid
-                    low = mid + 1
-                else:
-                    high = mid - 1
-            if best is None:
-                # The winner won with its submitted bid yet loses in every
-                # probe region; its own cost must sit exactly on a
-                # threshold where the tie-break favours it.  The critical
-                # value is its own cost.
-                return winner.cost
-            return max(thresholds[best], winner.cost)
-        finally:
-            tel.set_attribute("probes", probes)
-            obs.counter("payment.exact.probes", probes)
+    source = _source(bids, schedule, reserve_price, prober, engine)
+    return source.exact_payment(winner)

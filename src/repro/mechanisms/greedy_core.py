@@ -1,11 +1,14 @@
-"""The slot-by-slot greedy allocation shared by the online mechanisms.
+"""Greedy-run records and the snapshot-resume payment prober.
 
-This module implements Algorithm 1 of the paper ("Winning Bids
-Determination") as a reusable primitive: walk the slots in order,
-maintain the pool of active, not-yet-allocated bids, and hand each newly
-arriving task to the cheapest bid in the pool.  Both the online mechanism
-itself and its payment scheme (Algorithm 2 re-runs the allocation with one
-bid removed) are built on this function, as is the second-price baseline.
+Algorithm 1 of the paper ("Winning Bids Determination") walks the slots
+in order, keeps the pool of active, not-yet-allocated bids, and hands
+each newly arriving task to the cheapest bid in the pool.  The online
+mechanism runs it on :class:`~repro.mechanisms.streaming
+.StreamingGreedyEngine`; this module holds the records a run produces
+and :class:`GreedyProber`, which answers the payment questions the
+engine's records cannot (Algorithm 2 re-runs the allocation with one bid
+removed, the exact rule with one cost replaced) by resuming the walk
+from a per-slot snapshot.
 
 Tie-breaking
 ------------
@@ -131,10 +134,9 @@ def _walk_slots(
 ) -> int:
     """Advance Algorithm 1 over slots ``[first_slot, last_slot]`` in place.
 
-    The single authoritative implementation of the slot walk: both a cold
-    :func:`run_greedy_allocation` and a :class:`GreedyProber` resume drive
-    this loop, so their behaviour — tie-breaks, lazy departure pops,
-    reserve-price skips — is identical by construction.  ``pool`` /
+    The prober's base run and every resume drive this loop, so their
+    behaviour — tie-breaks, lazy departure pops, reserve-price skips — is
+    identical by construction.  ``pool`` /
     ``allocation`` / ``win_slots`` / ``slot_outcomes`` are mutated;
     ``on_slot_start`` (if given) fires before each slot's arrivals are
     pushed, which is where the prober snapshots resumable state.  Returns
@@ -178,90 +180,6 @@ def _walk_slots(
             SlotOutcome(slot=slot, winners=tuple(winners), unserved=unserved)
         )
     return candidate_evals
-
-
-def run_greedy_allocation(
-    bids: Sequence[Bid],
-    schedule: TaskSchedule,
-    exclude_phone: Optional[int] = None,
-    reserve_price: bool = False,
-    stop_after_slot: Optional[int] = None,
-) -> GreedyRun:
-    """Run Algorithm 1 and return the full allocation record.
-
-    Parameters
-    ----------
-    bids:
-        Claimed bids (at most one per phone; validated upstream).
-    schedule:
-        The round's task arrivals.
-    exclude_phone:
-        If given, that phone's bid is ignored — the ``B − B_i`` re-run the
-        payment scheme (Algorithm 2) needs.
-    reserve_price:
-        When ``True``, a bid is only allocated a task whose value is at
-        least the claimed cost (no negative-welfare assignments).  The
-        paper's algorithm has no reserve (its "revealing equivalence" step
-        assumes allocating every task is always worthwhile); the flag is
-        an explicit, documented deviation used by welfare-comparison
-        benches.  Skipped bids stay in the pool.
-    stop_after_slot:
-        Stop the walk after this slot (used by payment re-runs that only
-        need slots up to a departure).
-
-    Notes
-    -----
-    The pool is a heap ordered by :func:`bid_sort_key`; each slot we push
-    the arrivals and lazily pop departed bids, so a run costs
-    ``O((n + γ) log n)`` overall.
-    """
-    last_slot = schedule.num_slots if stop_after_slot is None else min(
-        stop_after_slot, schedule.num_slots
-    )
-
-    arrivals_by_slot: Dict[int, List[Bid]] = {}
-    for bid in bids:
-        if exclude_phone is not None and bid.phone_id == exclude_phone:
-            continue
-        arrivals_by_slot.setdefault(bid.arrival, []).append(bid)
-
-    pool: List[Tuple[Tuple[float, int, int], Bid]] = []
-    allocation: Dict[int, int] = {}
-    win_slots: Dict[int, int] = {}
-    slot_outcomes: List[SlotOutcome] = []
-
-    # Candidate evaluations are counted in a local int and reported once
-    # at the end: the inner loop must stay telemetry-free so a disabled
-    # tracer costs nothing on the hot path.
-    with obs.span(
-        "greedy.allocation",
-        bids=len(bids),
-        slots=last_slot,
-        excluded=exclude_phone,
-    ) as tel:
-        candidate_evals = _walk_slots(
-            schedule,
-            arrivals_by_slot,
-            pool,
-            allocation,
-            win_slots,
-            slot_outcomes,
-            1,
-            last_slot,
-            reserve_price,
-        )
-        tel.set_attribute("candidate_evals", candidate_evals)
-        tel.set_attribute("winners", len(win_slots))
-        tel.set_attribute(
-            "unserved", sum(outcome.unserved for outcome in slot_outcomes)
-        )
-        obs.counter("greedy.candidate_evals", candidate_evals)
-
-    return GreedyRun(
-        allocation=allocation,
-        win_slots=win_slots,
-        slots=tuple(slot_outcomes),
-    )
 
 
 class GreedyProber:
@@ -542,9 +460,9 @@ class GreedyProber:
     ) -> GreedyRun:
         """The allocation without ``phone_id`` — Algorithm 2's re-run.
 
-        Equivalent to ``run_greedy_allocation(bids, schedule,
-        exclude_phone=phone_id, stop_after_slot=...)`` on the prober's
-        bids, but resumed from the excluded bid's arrival slot.
+        Equivalent to a cold run over the prober's bids minus that
+        phone's (truncated after ``stop_after_slot``), but resumed from
+        the excluded bid's arrival slot.
         """
         last = (
             self._num_slots
@@ -595,10 +513,9 @@ class GreedyProber:
         """Sorted candidate critical values for ``winner``'s binary search.
 
         The union of the *other* bids' claimed costs (plus the task
-        values, when the reserve price is active), positive entries only
-        — exactly what :func:`repro.mechanisms.critical_payment
-        .exact_critical_payment` builds cold, but the shared sorted index
-        is constructed once per prober and reused by every winner.
+        values, when the reserve price is active), positive entries only;
+        the shared sorted index is constructed once per prober and reused
+        by every winner.
         """
         if self._thresholds is None:
             self._cost_counts = dict(
@@ -624,3 +541,84 @@ class GreedyProber:
             index = bisect.bisect_left(thresholds, winner.cost)
             thresholds = thresholds[:index] + thresholds[index + 1:]
         return thresholds
+
+    def algorithm2_payment(self, winner: Bid, win_slot: int) -> float:
+        """Algorithm 2: pay the critical player's claimed cost.
+
+        Re-runs the allocation without ``winner`` up to its reported
+        departure and returns the highest claimed cost among bids that
+        win in slots ``[win_slot, winner.departure]``, floored at the
+        winner's own claimed cost.
+        """
+        with obs.span(
+            "payment.algorithm2", winner=winner.phone_id, win_slot=win_slot
+        ):
+            rerun = self.run_excluding(
+                winner.phone_id, stop_after_slot=winner.departure
+            )
+            payment = winner.cost
+            for other in rerun.winners_between(win_slot, winner.departure):
+                if other.cost > payment:
+                    payment = other.cost
+            return payment
+
+    def exact_payment(self, winner: Bid) -> float:
+        """The exact critical value of Definition 9, by binary search.
+
+        Winning is monotone non-increasing in the claimed cost (Theorem
+        4's monotonicity argument, verified by the property tests), and
+        the win/lose outcome can only change when the claimed cost
+        crosses another bid's cost (or the task value, when a reserve is
+        active).  The supremum of winning costs is therefore attained at
+        one of :meth:`exact_thresholds`, found with ``O(log n)`` probes.
+
+        When the winner is uncontested — it would win at *any* price —
+        the critical value is unbounded.  With a reserve price the task
+        value caps it; without, Algorithm 2's behaviour of paying the
+        winner's own claimed cost applies (see
+        :mod:`repro.mechanisms.critical_payment` for the caveat).
+        """
+        with obs.span("payment.exact", winner=winner.phone_id) as tel:
+            probes = 0
+
+            def wins_with(candidate_cost: float) -> bool:
+                nonlocal probes
+                probes += 1
+                rerun = self.run_with_cost(
+                    winner, candidate_cost, stop_after_slot=winner.departure
+                )
+                return winner.phone_id in rerun.win_slots
+
+            try:
+                thresholds = self.exact_thresholds(winner)
+                if not thresholds:
+                    return winner.cost
+                # Probe strictly above the largest threshold: uncontested?
+                if wins_with(thresholds[-1] + 1.0):
+                    if self._reserve_price:
+                        return max(thresholds[-1], winner.cost)
+                    return winner.cost
+                # Probe region k is (thresholds[k-1], thresholds[k]); its
+                # representative is a midpoint.  Winning is monotone over
+                # regions, so binary-search the last winning region; the
+                # critical value is that region's right endpoint.
+                best: Optional[int] = None
+                low, high = 0, len(thresholds) - 1
+                while low <= high:
+                    mid = (low + high) // 2
+                    lower = 0.0 if mid == 0 else thresholds[mid - 1]
+                    if wins_with((lower + thresholds[mid]) / 2.0):
+                        best = mid
+                        low = mid + 1
+                    else:
+                        high = mid - 1
+                if best is None:
+                    # The winner won with its submitted bid yet loses in
+                    # every probe region; its own cost must sit exactly
+                    # on a threshold where the tie-break favours it.  The
+                    # critical value is its own cost.
+                    return winner.cost
+                return max(thresholds[best], winner.cost)
+            finally:
+                tel.set_attribute("probes", probes)
+                obs.counter("payment.exact.probes", probes)

@@ -15,11 +15,6 @@ from typing import Dict, Optional, Sequence
 from repro import obs
 from repro.errors import MechanismError
 from repro.mechanisms.base import Mechanism
-from repro.mechanisms.critical_payment import (
-    algorithm2_payment,
-    exact_critical_payment,
-)
-from repro.mechanisms.greedy_core import GreedyProber
 from repro.mechanisms.streaming import StreamingGreedyEngine
 from repro.model.bid import Bid
 from repro.model.outcome import AuctionOutcome
@@ -27,7 +22,6 @@ from repro.model.round_config import RoundConfig
 from repro.model.task import TaskSchedule
 
 _PAYMENT_RULES = ("paper", "exact")
-_ENGINES = ("batch", "streaming")
 
 
 class OnlineGreedyMechanism(Mechanism):
@@ -43,24 +37,17 @@ class OnlineGreedyMechanism(Mechanism):
         takes negative-welfare assignments the optimum would refuse.
     payment_rule:
         ``"paper"`` (default) uses Algorithm 2 verbatim; ``"exact"``
-        computes the true critical value by binary search (see
+        computes the true critical value (see
         :mod:`repro.mechanisms.critical_payment` for when they differ).
-    engine:
-        ``"batch"`` (default) runs the snapshot-resume
-        :class:`~repro.mechanisms.greedy_core.GreedyProber`;
-        ``"streaming"`` runs the event-driven
-        :class:`~repro.mechanisms.streaming.StreamingGreedyEngine`,
-        which derives payments incrementally from per-slot records.
-        Outcomes are bit-identical (verified byte-for-byte on pickled
-        outcomes by the property suite); only the cost profile differs,
-        with streaming built for city-scale rounds.
 
-    Although the mechanism is conceptually online, :meth:`run` consumes a
-    complete round like every other mechanism — determinism plus the
-    restriction that allocation in slot ``t`` only reads bids with
-    ``arrival <= t`` makes this exactly equivalent to a slot-by-slot
-    execution; :class:`repro.auction.platform.CrowdsourcingPlatform`
-    provides the genuinely incremental driver.
+    One :class:`~repro.mechanisms.streaming.StreamingGreedyEngine` pass
+    yields the allocation and the per-slot records every payment is read
+    from.  Although the mechanism is conceptually online, :meth:`run`
+    consumes a complete round like every other mechanism — determinism
+    plus the restriction that allocation in slot ``t`` only reads bids
+    with ``arrival <= t`` makes this exactly equivalent to a
+    slot-by-slot execution; :class:`repro.auction.platform
+    .CrowdsourcingPlatform` drives the same engine incrementally.
     """
 
     name = "online-greedy"
@@ -71,20 +58,14 @@ class OnlineGreedyMechanism(Mechanism):
         self,
         reserve_price: bool = False,
         payment_rule: str = "paper",
-        engine: str = "batch",
     ) -> None:
         if payment_rule not in _PAYMENT_RULES:
             raise MechanismError(
                 f"unknown payment_rule {payment_rule!r}; expected one of "
                 f"{_PAYMENT_RULES}"
             )
-        if engine not in _ENGINES:
-            raise MechanismError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
-            )
         self._reserve_price = bool(reserve_price)
         self._payment_rule = payment_rule
-        self._engine = engine
 
     @property
     def reserve_price(self) -> bool:
@@ -96,11 +77,6 @@ class OnlineGreedyMechanism(Mechanism):
         """The active payment rule, ``"paper"`` or ``"exact"``."""
         return self._payment_rule
 
-    @property
-    def engine(self) -> str:
-        """The active allocation engine, ``"batch"`` or ``"streaming"``."""
-        return self._engine
-
     def run(
         self,
         bids: Sequence[Bid],
@@ -108,94 +84,24 @@ class OnlineGreedyMechanism(Mechanism):
         config: Optional[RoundConfig] = None,
     ) -> AuctionOutcome:
         self._resolve_config(bids, schedule, config)
-        if self._engine == "streaming":
-            return self._run_streaming(bids, schedule)
-        return self._run_batch(bids, schedule)
-
-    def _run_batch(
-        self, bids: Sequence[Bid], schedule: TaskSchedule
-    ) -> AuctionOutcome:
-        # One prober serves the allocation *and* every payment pass: its
-        # base run is the Algorithm-1 allocation, and payment re-runs
-        # resume from each winner's arrival slot instead of slot 1.
-        prober = GreedyProber(
-            bids, schedule, reserve_price=self._reserve_price
-        )
-        greedy = prober.base_run
-
-        bid_by_phone = prober.bid_by_phone
-        payments: Dict[int, float] = {}
-        payment_slots: Dict[int, int] = {}
-        for phone_id, win_slot in greedy.win_slots.items():
-            winner = bid_by_phone[phone_id]
-            if self._payment_rule == "paper":
-                payments[phone_id] = algorithm2_payment(
-                    bids,
-                    schedule,
-                    winner,
-                    win_slot,
-                    reserve_price=self._reserve_price,
-                    prober=prober,
-                )
-            else:
-                payments[phone_id] = exact_critical_payment(
-                    bids,
-                    schedule,
-                    winner,
-                    reserve_price=self._reserve_price,
-                    prober=prober,
-                )
-            # The paper: "each smartphone receives its payment in its
-            # reported departure slot."
-            payment_slots[phone_id] = winner.departure
-
-        return AuctionOutcome(
-            bids=bids,
-            schedule=schedule,
-            allocation=greedy.allocation,
-            payments=payments,
-            payment_slots=payment_slots,
-        )
-
-    def _run_streaming(
-        self, bids: Sequence[Bid], schedule: TaskSchedule
-    ) -> AuctionOutcome:
-        # One event-driven pass produces the allocation and the per-slot
-        # records payments are read from; no re-runs unless the engine
-        # declares its records inapplicable (reserve price over
-        # heterogeneous task values), where the prober fallback keeps
-        # outcomes bit-identical.
         engine = StreamingGreedyEngine(
             bids, schedule, reserve_price=self._reserve_price
         )
         greedy = engine.base_run
-        if greedy.win_slots and not engine.supports_incremental_payments:
-            obs.counter(
-                "online.stream.payment_fallbacks", len(greedy.win_slots)
-            )
-
         bid_by_phone = engine.bid_by_phone
+        paper = self._payment_rule == "paper"
         payments: Dict[int, float] = {}
         payment_slots: Dict[int, int] = {}
         for phone_id, win_slot in greedy.win_slots.items():
             winner = bid_by_phone[phone_id]
-            if self._payment_rule == "paper":
-                payments[phone_id] = algorithm2_payment(
-                    bids,
-                    schedule,
-                    winner,
-                    win_slot,
-                    reserve_price=self._reserve_price,
-                    engine=engine,
+            if paper:
+                payments[phone_id] = engine.algorithm2_payment(
+                    winner, win_slot
                 )
             else:
-                payments[phone_id] = exact_critical_payment(
-                    bids,
-                    schedule,
-                    winner,
-                    reserve_price=self._reserve_price,
-                    engine=engine,
-                )
+                payments[phone_id] = engine.exact_payment(winner)
+            # The paper: "each smartphone receives its payment in its
+            # reported departure slot."
             payment_slots[phone_id] = winner.departure
         # Reported once, after the payment loop: how much cascade
         # walking the whole round needed (zero is common — most

@@ -1,22 +1,28 @@
-"""Event-driven streaming engine for the online mechanism.
+"""The online mechanism's engine: Algorithm 1 and Algorithm 2 in one pass.
 
-The batch path (:mod:`repro.mechanisms.greedy_core`) answers each
-payment question by *re-running* Algorithm 1 — resumed from a snapshot,
-but still a walk per probe.  At city scale (10⁵–10⁶ phones) the probes
-dominate the round.  This module replaces them with bookkeeping done
-*during* a single allocation pass:
+Every online run in the library — :class:`~repro.mechanisms
+.OnlineGreedyMechanism` over a whole round, and the live
+:class:`~repro.auction.CrowdsourcingPlatform` one slot at a time — is
+driven by :class:`StreamingGreedyEngine`.  Payments are answered from
+bookkeeping done *during* the allocation pass instead of by re-running
+Algorithm 1 per winner.
 
 Event model
 -----------
-The round is consumed as one merged stream of events in slot order:
+A round is consumed as one merged stream of events in slot order:
 
-* **arrival** — the bid enters the pool.  Arrivals are pre-bucketed
-  with numpy (one ``argsort`` over the arrival column plus a
+* **arrival** — the bid enters the pool.  A whole round pre-buckets
+  arrivals with numpy (one ``argsort`` over the arrival column plus a
   ``searchsorted`` per-slot boundary table), so the per-slot arrival
-  scan costs O(arrivals in slot), never O(n).
+  scan costs O(arrivals in slot), never O(n); a live round pushes each
+  bid as it is submitted (:meth:`StreamingGreedyEngine.push`).
 * **expiry** — a bid whose departure has passed is discarded lazily
   when it surfaces at the top of the pool.
 * **selection** — a task pops the cheapest active unallocated bid.
+
+Both drivers close each slot with the same step
+(:meth:`StreamingGreedyEngine.close_slot`): select bids for the slot's
+tasks, then append the slot's payment records.
 
 The pool is a single binary heap keyed by
 :func:`~repro.mechanisms.greedy_core.bid_sort_key`; every event is
@@ -28,9 +34,8 @@ Heap invariants
 Entries are ``(cost, arrival, phone_id, index)`` tuples.  The first
 three fields are exactly ``bid_sort_key`` — a *strict total order*,
 since ``phone_id`` is unique — so the pop sequence is a function of the
-entry multiset alone, independent of internal heap layout.  That is
-what makes the streaming pass bit-identical to ``_walk_slots``: both
-pop the same totally-ordered multiset in the same order.
+entry multiset alone, independent of internal heap layout and of the
+order bids were pushed in.
 
 Incremental critical thresholds
 -------------------------------
@@ -51,18 +56,26 @@ per slot, the marginal threshold below which an extra bid would be
 selected is the last winner's cost (fully served slot) or the open
 threshold — ``+inf`` without a reserve price, the task value with one —
 and the supremum over the winner's window, adjusted along the cascade,
-*is* the critical value the batch binary search converges to
-(Theorems 4–7 justify monotonicity; see ARCHITECTURE.md for the
-argument).  With a reserve price and *heterogeneous* task values the
-within-slot shift can change reserve outcomes, so the engine declares
-incremental payments unsupported and payments fall back to the
-snapshot prober — results stay bit-identical either way.
+*is* the critical value the binary search converges to (Theorems 4–7
+justify monotonicity; see ARCHITECTURE.md for the argument).
+
+Records only cover the slots closed so far, and every payment reads
+slots up to the winner's departure, so a live round can price a winner
+the moment its departure slot closes.  Two kinds of question fall back
+to the engine's :class:`~repro.mechanisms.greedy_core.GreedyProber`
+over the bids and tasks seen so far: any payment under a reserve price
+once the task values seen differ (the within-slot shift can change
+reserve outcomes), and a winner the records do not describe — one that
+won another slot (Algorithm 2) or did not win (exact rule) in the
+engine's own run, which only a live round whose allocation diverged
+through a dropout or reassignment asks about.  Results are
+bit-identical either way.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,7 +83,7 @@ from repro import obs
 from repro.errors import MechanismError
 from repro.mechanisms.greedy_core import GreedyProber, GreedyRun, SlotOutcome
 from repro.model.bid import Bid
-from repro.model.task import TaskSchedule
+from repro.model.task import SensingTask, TaskSchedule
 from repro.obs.clock import perf_seconds
 
 #: A pool entry: ``(cost, arrival, phone_id, index)``.  The first three
@@ -84,32 +97,41 @@ _NEG_INF = float("-inf")
 
 
 class _RangeMax:
-    """O(1) range-max over a fixed float array (sparse table).
+    """O(1) range-max over a growing float list (append-only sparse table).
 
-    Built in O(n log n); ``query(lo, hi)`` (inclusive bounds) overlaps
-    two power-of-two blocks — max is idempotent, so the overlap is
-    harmless.  Values are plain Python floats and the query returns one
-    of them unchanged (no arithmetic), preserving bit-identity.
+    Level 0 *is* the caller's list; each query first extends the higher
+    levels over the entries appended since the last one, O(log n) per
+    entry.  ``query(lo, hi)`` (inclusive bounds) overlaps two
+    power-of-two blocks — max is idempotent, so the overlap is harmless.
+    Values are plain Python floats and the query returns one of them
+    unchanged (no arithmetic), preserving bit-identity.
     """
 
-    def __init__(self, values: Sequence[float]) -> None:
-        self._tables: List[List[float]] = [list(values)]
-        size = len(values)
-        span = 1
-        while span * 2 <= size:
-            prev = self._tables[-1]
-            self._tables.append(
-                [
-                    prev[i] if prev[i] >= prev[i + span] else prev[i + span]
-                    for i in range(size - 2 * span + 1)
-                ]
-            )
-            span *= 2
+    def __init__(self, values: List[float]) -> None:
+        self._tables: List[List[float]] = [values]
+        self._size = 0
+
+    def _extend(self) -> None:
+        tables = self._tables
+        values = tables[0]
+        while self._size < len(values):
+            self._size += 1
+            level, span = 1, 1
+            while 2 * span <= self._size:
+                if level == len(tables):
+                    tables.append([])
+                prev = tables[level - 1]
+                left = prev[self._size - 2 * span]
+                right = prev[self._size - span]
+                tables[level].append(left if left >= right else right)
+                level += 1
+                span *= 2
 
     def query(self, lo: int, hi: int) -> float:
         """Max of ``values[lo..hi]`` (inclusive); requires ``lo <= hi``."""
-        length = hi - lo + 1
-        level = length.bit_length() - 1
+        if self._size < len(self._tables[0]):
+            self._extend()
+        level = (hi - lo + 1).bit_length() - 1
         table = self._tables[level]
         left = table[lo]
         right = table[hi - (1 << level) + 1]
@@ -117,15 +139,21 @@ class _RangeMax:
 
 
 class StreamingGreedyEngine:
-    """One-pass Algorithm 1 with per-slot payment state (see module doc).
+    """One-pass Algorithm 1 with per-slot payment records (module doc).
 
-    The constructor runs the allocation; :attr:`base_run` is
-    bit-identical to :func:`~repro.mechanisms.greedy_core
-    .run_greedy_allocation` on the same inputs.  When
-    :attr:`supports_incremental_payments` is true,
-    :meth:`algorithm2_payment` and :meth:`exact_payment` answer each
-    winner's payment from the recorded state without any re-walk;
-    otherwise :attr:`prober` supplies the snapshot-resume fallback.
+    ``StreamingGreedyEngine(bids, schedule)`` runs a whole round;
+    :meth:`online` starts an empty one that is fed with :meth:`push`
+    and :meth:`close_slot`.  :meth:`algorithm2_payment` and
+    :meth:`exact_payment` price a winner from the records, or through
+    :attr:`prober` when the records cannot answer.
+
+    A live round also needs a pool that forgets phones which vanished:
+    :meth:`drop` removes one for good, :meth:`pop_covering` serves a
+    reassignment, and :meth:`pool_size` counts the live pool.  None of
+    them touches the payment records of *another* engine, so a platform
+    runs two: one fed every bid and task to price payments, one whose
+    pool also loses dropped and failed phones to allocate.  With no
+    fault reported the two select identically.
     """
 
     def __init__(
@@ -134,51 +162,20 @@ class StreamingGreedyEngine:
         schedule: TaskSchedule,
         reserve_price: bool = False,
     ) -> None:
-        self._source = bids
-        self._bids: Tuple[Bid, ...] = tuple(bids)
-        self._schedule = schedule
-        self._reserve_price = bool(reserve_price)
-        self._num_slots = schedule.num_slots
+        self._start(schedule.num_slots, reserve_price)
+        self._source: Optional[Sequence[Bid]] = bids
+        self._schedule: Optional[TaskSchedule] = schedule
+        self._bids = list(bids)
+        count = len(self._bids)
         self._bid_by_phone = {bid.phone_id: bid for bid in self._bids}
-        self._prober: Optional[GreedyProber] = None
-        self._cascade_steps = 0
-        uniform = schedule.uniform_value
-        self._supports_incremental = (
-            not self._reserve_price or uniform is not None
-        )
-        #: Threshold at which an under-supplied slot stops admitting an
-        #: extra bid: unbounded without a reserve, the (uniform) task
-        #: value with one.  Only consulted on the incremental path,
-        #: where a reserve price implies homogeneous values.
-        self._open_threshold = (
-            uniform if self._reserve_price and uniform is not None else _INF
-        )
-        started = perf_seconds()
-        self._base_run = self._stream()
-        elapsed = perf_seconds() - started
-        rate = self._events / elapsed if elapsed > 0 else 0.0
-        obs.counter("online.stream.events", self._events)
-        obs.gauge("online.stream.events_per_second", rate)
-        #: Per-slot range-max structures, built lazily on first payment
-        #: (a pure allocation never pays for them).
-        self._cost_rmq: Optional[_RangeMax] = None
-        self._theta_rmq: Optional[_RangeMax] = None
-
-    # ------------------------------------------------------------------
-    # The single event-driven pass
-    # ------------------------------------------------------------------
-    def _stream(self) -> GreedyRun:
-        bids = self._bids
-        count = len(bids)
         num_slots = self._num_slots
-        reserve = self._reserve_price
 
         # Pre-bucket arrivals with numpy: one stable argsort over the
         # arrival column, then a searchsorted boundary table, so slot
         # ``s`` reads ``order[bounds[s-1]:bounds[s]]`` — the same
         # interval trick ``matching/graph.py`` uses for window masks.
         arrival = np.fromiter(
-            (bid.arrival for bid in bids), dtype=np.int64, count=count
+            (bid.arrival for bid in self._bids), dtype=np.int64, count=count
         )
         order = np.argsort(arrival, kind="stable")
         bounds = np.searchsorted(
@@ -188,30 +185,17 @@ class StreamingGreedyEngine:
         # Plain Python lists for the hot loop: scalar indexing into
         # numpy arrays allocates a boxed scalar per access, which
         # dominates at 10⁶ bids.  ``tolist`` round-trips exactly.
-        cost: List[float] = [bid.cost for bid in bids]
+        cost = [bid.cost for bid in self._bids]
         arr: List[int] = arrival.tolist()
-        dep: List[int] = [bid.departure for bid in bids]
-        pid: List[int] = [bid.phone_id for bid in bids]
+        pid = [bid.phone_id for bid in self._bids]
+        self._dep = [bid.departure for bid in self._bids]
 
-        pool: List[_Entry] = []
-        allocation: Dict[int, int] = {}
-        win_slots: Dict[int, int] = {}
-        slot_outcomes: List[SlotOutcome] = []
-        # Per-slot payment state, 1-indexed (entry 0 is padding).
-        last_cost: List[float] = [_NEG_INF] * (num_slots + 1)
-        theta: List[float] = [_NEG_INF] * (num_slots + 1)
-        runner_up: Dict[int, Optional[_Entry]] = {}
-        open_threshold = self._open_threshold
-        events = 0
-        candidate_evals = 0
+        pool = self._pool
         heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        with obs.span(
-            "greedy.allocation.streaming",
-            bids=count,
-            slots=num_slots,
-        ) as tel:
+        close = self._close
+        tasks_in_slot = schedule.tasks_in_slot
+        started = perf_seconds()
+        with obs.span("greedy.allocation", bids=count, slots=num_slots) as tel:
             for slot in range(1, num_slots + 1):
                 lo = bounds[slot - 1]
                 hi = bounds[slot]
@@ -221,115 +205,287 @@ class StreamingGreedyEngine:
                         pool,
                         (cost[index], arr[index], pid[index], index),
                     )
-                events += hi - lo
-
-                tasks = self._schedule.tasks_in_slot(slot)
-                if not tasks:
-                    continue
-
-                winners: List[_Entry] = []
-                unserved = 0
-                for task in tasks:
-                    chosen: Optional[_Entry] = None
-                    task_value = task.value
-                    while pool:
-                        candidate_evals += 1
-                        top = pool[0]
-                        if dep[top[3]] < slot:  # expiry event
-                            heappop(pool)
-                            events += 1
-                            continue
-                        if reserve and top[0] > task_value:
-                            break
-                        chosen = heappop(pool)
-                        events += 1
-                        break
-                    if chosen is None:
-                        unserved += 1
-                        continue
-                    allocation[task.task_id] = chosen[2]
-                    win_slots[chosen[2]] = slot
-                    winners.append(chosen)
-
-                if winners:
-                    # Winners pop in increasing sort order, so the last
-                    # one carries the slot's maximum winning cost.
-                    last_cost[slot] = winners[-1][0]
-                if unserved:
-                    # An extra bid cheap enough (and under the reserve,
-                    # when active) would have been selected here no
-                    # matter what: the slot's marginal threshold is
-                    # open, and removing a winner frees no one.
-                    theta[slot] = open_threshold
-                    runner_up[slot] = None
-                else:
-                    theta[slot] = winners[-1][0]
-                    # Peek (never pop) the first still-valid candidate
-                    # after the slot's winners: the bid that inherits a
-                    # selection if one winner is removed.
-                    successor: Optional[_Entry] = None
-                    last_value = tasks[-1].value
-                    while pool:
-                        top = pool[0]
-                        if dep[top[3]] < slot:
-                            heappop(pool)
-                            events += 1
-                            continue
-                        if reserve and top[0] > last_value:
-                            break
-                        successor = top
-                        break
-                    runner_up[slot] = successor
-                slot_outcomes.append(
-                    SlotOutcome(
-                        slot=slot,
-                        winners=tuple(bids[e[3]] for e in winners),
-                        unserved=unserved,
-                    )
-                )
-            tel.set_attribute("events", events)
-            tel.set_attribute("candidate_evals", candidate_evals)
-            tel.set_attribute("winners", len(win_slots))
+                self._events += hi - lo
+                close(slot, tasks_in_slot(slot))
+            tel.set_attribute("events", self._events)
+            tel.set_attribute("candidate_evals", self._candidate_evals)
+            tel.set_attribute("winners", len(self._win_slots))
             tel.set_attribute(
                 "unserved",
-                sum(outcome.unserved for outcome in slot_outcomes),
+                sum(outcome.unserved for outcome in self._slot_outcomes),
             )
-            obs.counter("greedy.candidate_evals", candidate_evals)
+            obs.counter("greedy.candidate_evals", self._candidate_evals)
+        elapsed = perf_seconds() - started
+        rate = self._events / elapsed if elapsed > 0 else 0.0
+        obs.counter("online.stream.events", self._events)
+        obs.gauge("online.stream.events_per_second", rate)
 
-        self._events = events
-        self._last_cost = last_cost
-        self._theta = theta
-        self._runner_up = runner_up
-        return GreedyRun(
-            allocation=allocation,
-            win_slots=win_slots,
-            slots=tuple(slot_outcomes),
+    @classmethod
+    def online(
+        cls, num_slots: int, reserve_price: bool = False
+    ) -> "StreamingGreedyEngine":
+        """An empty engine for a live round of ``num_slots`` slots."""
+        engine = cls.__new__(cls)
+        engine._start(num_slots, reserve_price)
+        engine._source = None
+        engine._schedule = None
+        engine._bids = []
+        engine._bid_by_phone = {}
+        engine._dep = []
+        return engine
+
+    def _start(self, num_slots: int, reserve_price: bool) -> None:
+        self._num_slots = num_slots
+        self._reserve_price = bool(reserve_price)
+        self._closed = 0
+        self._tasks: List[SensingTask] = []
+        self._task_values: Set[float] = set()
+        self._pool: List[_Entry] = []
+        self._allocation: Dict[int, int] = {}
+        self._win_slots: Dict[int, int] = {}
+        self._slot_outcomes: List[SlotOutcome] = []
+        self._run: Optional[GreedyRun] = None
+        # Per-slot payment records, 1-indexed (entry 0 is padding).
+        self._last_cost: List[float] = [_NEG_INF]
+        self._theta: List[float] = [_NEG_INF]
+        self._runner_up: Dict[int, Optional[_Entry]] = {}
+        self._cost_rmq = _RangeMax(self._last_cost)
+        self._theta_rmq = _RangeMax(self._theta)
+        self._prober: Optional[GreedyProber] = None
+        self._events = 0
+        self._candidate_evals = 0
+        self._cascade_steps = 0
+        # Live-pool bookkeeping (only the online entry points keep it).
+        self._index_of: Dict[int, int] = {}
+        self._gone: Set[int] = set()
+        self._live = 0
+        self._live_by_departure: Dict[int, int] = {}
+        self._expired_through = 0
+
+    # ------------------------------------------------------------------
+    # The per-slot step
+    # ------------------------------------------------------------------
+    def _close(
+        self, slot: int, tasks: Sequence[SensingTask]
+    ) -> List[Optional[_Entry]]:
+        """Select bids for ``slot``'s tasks and append its records.
+
+        Returns one pool entry (or ``None``, unserved) per task.
+        """
+        self._closed = slot
+        if not tasks:
+            self._last_cost.append(_NEG_INF)
+            self._theta.append(_NEG_INF)
+            return []
+        pool = self._pool
+        dep = self._dep
+        allocation = self._allocation
+        win_slots = self._win_slots
+        reserve = self._reserve_price
+        heappop = heapq.heappop
+        if reserve and len(self._task_values) < 2:
+            self._task_values.update(task.value for task in tasks)
+        events = 0
+        candidate_evals = 0
+        picks: List[Optional[_Entry]] = []
+        winners: List[_Entry] = []
+        for task in tasks:
+            chosen: Optional[_Entry] = None
+            task_value = task.value
+            while pool:
+                candidate_evals += 1
+                top = pool[0]
+                if dep[top[3]] < slot:  # expiry event
+                    heappop(pool)
+                    events += 1
+                    continue
+                if reserve and top[0] > task_value:
+                    break
+                chosen = heappop(pool)
+                events += 1
+                break
+            picks.append(chosen)
+            if chosen is None:
+                continue
+            allocation[task.task_id] = chosen[2]
+            win_slots[chosen[2]] = slot
+            winners.append(chosen)
+        unserved = len(tasks) - len(winners)
+
+        # Winners pop in increasing sort order, so the last one carries
+        # the slot's maximum winning cost.
+        self._last_cost.append(winners[-1][0] if winners else _NEG_INF)
+        if unserved:
+            # An extra bid cheap enough (and under the reserve, when
+            # active) would have been selected here no matter what: the
+            # slot's marginal threshold is open, and removing a winner
+            # frees no one.
+            self._theta.append(self._open_threshold())
+            self._runner_up[slot] = None
+        else:
+            self._theta.append(winners[-1][0])
+            # Peek (never pop) the first still-valid candidate after the
+            # slot's winners: the bid that inherits a selection if one
+            # winner is removed.
+            successor: Optional[_Entry] = None
+            last_value = tasks[-1].value
+            while pool:
+                top = pool[0]
+                if dep[top[3]] < slot:
+                    heappop(pool)
+                    events += 1
+                    continue
+                if reserve and top[0] > last_value:
+                    break
+                successor = top
+                break
+            self._runner_up[slot] = successor
+        bids = self._bids
+        self._slot_outcomes.append(
+            SlotOutcome(
+                slot=slot,
+                winners=tuple(bids[entry[3]] for entry in winners),
+                unserved=unserved,
+            )
         )
+        self._events += events
+        self._candidate_evals += candidate_evals
+        return picks
+
+    def _open_threshold(self) -> float:
+        """Where an under-supplied slot stops admitting an extra bid:
+        unbounded without a reserve, the common task value with one."""
+        if self._reserve_price and len(self._task_values) == 1:
+            return next(iter(self._task_values))
+        return _INF
+
+    # ------------------------------------------------------------------
+    # Driving a live round
+    # ------------------------------------------------------------------
+    def push(self, bid: Bid) -> None:
+        """Pool a bid submitted in the open slot."""
+        index = len(self._bids)
+        phone_id = bid.phone_id
+        departure = bid.departure
+        self._bids.append(bid)
+        self._bid_by_phone[phone_id] = bid
+        self._dep.append(departure)
+        self._index_of[phone_id] = index
+        heapq.heappush(
+            self._pool, (bid.cost, bid.arrival, phone_id, index)
+        )
+        self._events += 1
+        self._live += 1
+        live = self._live_by_departure
+        live[departure] = live.get(departure, 0) + 1
+        self._prober = None
+
+    def close_slot(
+        self, slot: int, tasks: Sequence[SensingTask]
+    ) -> List[Optional[Bid]]:
+        """Close ``slot`` with its ``tasks``: the bid each task went to
+        (``None`` when unserved), in task order."""
+        if slot != self._closed + 1 or slot > self._num_slots:
+            raise MechanismError(
+                f"cannot close slot {slot}: slot {self._closed} was the "
+                f"last closed of {self._num_slots}"
+            )
+        self._tasks.extend(tasks)
+        self._schedule = None
+        self._prober = None
+        self._run = None
+        chosen: List[Optional[Bid]] = []
+        for entry in self._close(slot, tasks):
+            if entry is None:
+                chosen.append(None)
+                continue
+            self._leave(entry[3])
+            chosen.append(self._bids[entry[3]])
+        return chosen
+
+    def drop(self, phone_id: int) -> None:
+        """A pushed phone left without notice: never select it again."""
+        index = self._index_of[phone_id]
+        # A departure before every slot makes the heap discard the
+        # entry the next time it surfaces, like any expired bid.
+        self._dep[index] = 0
+        self._leave(index)
+
+    def pop_covering(
+        self, slot: int, task: SensingTask
+    ) -> Optional[Bid]:
+        """Take the cheapest live bid whose window covers ``task``'s slot.
+
+        Serves an in-slot reassignment in ``slot``.  Unlike a selection,
+        eligibility is not monotone in heap order (a cheap bid may have
+        arrived after the task's slot), so alive but ineligible entries
+        are set aside and pushed back.
+        """
+        pool = self._pool
+        dep = self._dep
+        stash: List[_Entry] = []
+        chosen: Optional[_Entry] = None
+        while pool:
+            entry = heapq.heappop(pool)
+            if dep[entry[3]] < slot:
+                continue  # expired or dropped: gone for good
+            if self._reserve_price and entry[0] > task.value:
+                stash.append(entry)
+                break  # cost-ordered: nobody cheaper remains
+            if entry[1] > task.slot:
+                stash.append(entry)
+                continue  # alive, but arrived after the task's slot
+            chosen = entry
+            break
+        for entry in stash:
+            heapq.heappush(pool, entry)
+        if chosen is None:
+            return None
+        self._leave(chosen[3])
+        return self._bids[chosen[3]]
+
+    def _leave(self, index: int) -> None:
+        """Bid ``index`` was selected or dropped: out of the live pool."""
+        if index in self._gone:
+            return
+        self._gone.add(index)
+        departure = self._bids[index].departure
+        if departure > self._expired_through:
+            self._live -= 1
+            self._live_by_departure[departure] -= 1
+
+    def pool_size(self, slot: int) -> int:
+        """Pooled bids still live in ``slot``: present by then, not yet
+        departed, selected or dropped.  ``slot`` never decreases."""
+        while self._expired_through < slot - 1:
+            self._expired_through += 1
+            self._live -= self._live_by_departure.pop(
+                self._expired_through, 0
+            )
+        return self._live
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def bids(self) -> Tuple[Bid, ...]:
-        """The bid tuple the engine was built for."""
-        return self._bids
+        """The bids seen so far."""
+        return tuple(self._bids)
 
     def covers(self, bids: Sequence[Bid]) -> bool:
-        """Whether the engine was built for exactly ``bids``.
+        """Whether the engine holds exactly ``bids``.
 
         Identity first (O(1) for the same sequence a mechanism run
         threads through every payment call), elementwise comparison as
         the fallback — same contract as ``GreedyProber.covers``.
         """
-        return (
-            bids is self._source
-            or bids is self._bids
-            or tuple(bids) == self._bids
-        )
+        return bids is self._source or list(bids) == self._bids
 
     @property
     def schedule(self) -> TaskSchedule:
-        """The task schedule the engine was built for."""
+        """The tasks seen so far (the whole schedule of a full round)."""
+        if self._schedule is None:
+            self._schedule = TaskSchedule(self._num_slots, self._tasks)
         return self._schedule
 
     @property
@@ -344,12 +500,18 @@ class StreamingGreedyEngine:
 
     @property
     def base_run(self) -> GreedyRun:
-        """The allocation (bit-identical to the batch path)."""
-        return self._base_run
+        """The allocation over the slots closed so far."""
+        if self._run is None:
+            self._run = GreedyRun(
+                allocation=self._allocation,
+                win_slots=self._win_slots,
+                slots=tuple(self._slot_outcomes),
+            )
+        return self._run
 
     @property
     def events(self) -> int:
-        """Arrival + expiry + selection events consumed by the pass."""
+        """Arrival + expiry + selection events consumed so far."""
         return self._events
 
     @property
@@ -359,117 +521,105 @@ class StreamingGreedyEngine:
 
     @property
     def supports_incremental_payments(self) -> bool:
-        """Whether payments can skip the prober (see module doc)."""
-        return self._supports_incremental
+        """Whether the records answer payments at all (see module doc)."""
+        return not self._reserve_price or len(self._task_values) == 1
 
     @property
     def prober(self) -> GreedyProber:
-        """Snapshot-resume fallback, built on first use.
-
-        Only payments that the incremental records cannot answer — a
-        reserve price over heterogeneous task values — reach it.
-        """
+        """Snapshot-resume fallback over the bids and tasks seen so far,
+        built on first use after each change."""
         if self._prober is None:
             self._prober = GreedyProber(
-                self._bids,
-                self._schedule,
+                self._bids if self._source is None else self._source,
+                self.schedule,
                 reserve_price=self._reserve_price,
             )
         return self._prober
 
     # ------------------------------------------------------------------
-    # Incremental payments
+    # Payments
     # ------------------------------------------------------------------
-    def _require_incremental(self) -> None:
-        if not self._supports_incremental:
-            raise MechanismError(
-                "incremental payments are unsupported with a reserve "
-                "price over heterogeneous task values; use the prober "
-                "fallback"
-            )
-
     def algorithm2_payment(self, winner: Bid, win_slot: int) -> float:
-        """Algorithm-2 payment for ``winner``, from the recorded state.
+        """Algorithm 2's payment for ``winner``, who won ``win_slot``.
 
-        Valid when ``winner`` won slot ``win_slot`` in the base run (the
-        standard call) or never won at all (the re-run without it is the
-        base run itself); :mod:`repro.mechanisms.critical_payment`
-        routes anything else to the prober.
+        Read off the records when ``winner`` won that slot in the
+        engine's own run, or never won in it (then the re-run without
+        it is the run itself); anything else goes to the prober.
         """
-        self._require_incremental()
-        recorded = self._base_run.win_slots.get(winner.phone_id)
-        if recorded is not None and recorded != win_slot:
-            raise MechanismError(
-                f"phone {winner.phone_id} won slot {recorded}, not "
-                f"{win_slot}; the cascade records only answer the "
-                "recorded win slot"
-            )
-        departure = min(winner.departure, self._num_slots)
-        payment = winner.cost
-        if win_slot <= departure:
-            if self._cost_rmq is None:
-                self._cost_rmq = _RangeMax(self._last_cost)
-            best = self._cost_rmq.query(win_slot, departure)
-            if best > payment:
-                payment = best
-        if recorded is None:
+        recorded = self._win_slots.get(winner.phone_id)
+        if not self.supports_incremental_payments or recorded not in (
+            None,
+            win_slot,
+        ):
+            obs.counter("online.stream.payment_fallbacks")
+            return self.prober.algorithm2_payment(winner, win_slot)
+        with obs.span(
+            "payment.algorithm2", winner=winner.phone_id, win_slot=win_slot
+        ):
+            departure = min(winner.departure, self._closed)
+            payment = winner.cost
+            if win_slot <= departure:
+                best = self._cost_rmq.query(win_slot, departure)
+                if best > payment:
+                    payment = best
+            if recorded is None:
+                return payment
+            slot = win_slot
+            steps = 0
+            while True:
+                successor = self._runner_up[slot]
+                if successor is None:
+                    # The slot gains an unserved task instead of a new
+                    # winner; the re-run converges back onto the run.
+                    break
+                steps += 1
+                if successor[0] > payment:
+                    payment = successor[0]
+                next_slot = self._win_slots.get(successor[2])
+                if next_slot is None or next_slot > departure:
+                    break
+                slot = next_slot
+            self._cascade_steps += steps
             return payment
-        slot = win_slot
-        steps = 0
-        while True:
-            successor = self._runner_up[slot]
-            if successor is None:
-                # The slot gains an unserved task instead of a new
-                # winner; the re-run converges back onto the base run.
-                break
-            steps += 1
-            if successor[0] > payment:
-                payment = successor[0]
-            next_slot = self._base_run.win_slots.get(successor[2])
-            if next_slot is None or next_slot > departure:
-                break
-            slot = next_slot
-        self._cascade_steps += steps
-        return payment
 
     def exact_payment(self, winner: Bid) -> float:
-        """The exact critical value for a base-run winner.
+        """The exact critical value for ``winner``.
 
-        Supremum of the per-slot marginal thresholds over the winner's
-        window, with the cascade's runner-up costs (which can only
-        raise a slot's marginal) folded in; ``+inf`` means the winner
-        is uncontested and Algorithm 2's own-bid fallback applies —
-        exactly the value the batch binary search converges to.
+        For a winner of the engine's own run: the supremum of the
+        per-slot marginal thresholds over its window, with the
+        cascade's runner-up costs (which can only raise a slot's
+        marginal) folded in; ``+inf`` means the winner is uncontested
+        and Algorithm 2's own-bid fallback applies — exactly the value
+        the binary search converges to.  Anyone else goes to the
+        prober.
         """
-        self._require_incremental()
-        win_slot = self._base_run.win_slots.get(winner.phone_id)
-        if win_slot is None:
-            raise MechanismError(
-                f"phone {winner.phone_id} is not a winner of the base "
-                "run; the exact fast path only prices winners"
-            )
-        departure = min(winner.departure, self._num_slots)
-        if self._theta_rmq is None:
-            self._theta_rmq = _RangeMax(self._theta)
-        threshold = self._theta_rmq.query(winner.arrival, departure)
-        slot = win_slot
-        steps = 0
-        while True:
-            successor = self._runner_up[slot]
-            if successor is None:
-                # The cascade ends in a newly unserved task: within the
-                # window the winner's slot became open.
-                if self._open_threshold > threshold:
-                    threshold = self._open_threshold
-                break
-            steps += 1
-            if successor[0] > threshold:
-                threshold = successor[0]
-            next_slot = self._base_run.win_slots.get(successor[2])
-            if next_slot is None or next_slot > departure:
-                break
-            slot = next_slot
-        self._cascade_steps += steps
-        if threshold == _INF:
-            return winner.cost
-        return threshold if threshold > winner.cost else winner.cost
+        win_slot = self._win_slots.get(winner.phone_id)
+        if win_slot is None or not self.supports_incremental_payments:
+            obs.counter("online.stream.payment_fallbacks")
+            return self.prober.exact_payment(winner)
+        with obs.span("payment.exact", winner=winner.phone_id) as tel:
+            tel.set_attribute("probes", 0)
+            departure = min(winner.departure, self._closed)
+            threshold = self._theta_rmq.query(winner.arrival, departure)
+            slot = win_slot
+            steps = 0
+            while True:
+                successor = self._runner_up[slot]
+                if successor is None:
+                    # The cascade ends in a newly unserved task: within
+                    # the window the winner's slot became open.
+                    open_threshold = self._open_threshold()
+                    if open_threshold > threshold:
+                        threshold = open_threshold
+                    break
+                steps += 1
+                if successor[0] > threshold:
+                    threshold = successor[0]
+                next_slot = self._win_slots.get(successor[2])
+                if next_slot is None or next_slot > departure:
+                    break
+                slot = next_slot
+            self._cascade_steps += steps
+            if threshold == _INF:
+                return winner.cost
+            return threshold if threshold > winner.cost else winner.cost

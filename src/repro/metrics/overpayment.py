@@ -40,8 +40,11 @@ def total_overpayment(
     rules) are counted in full — they are pure overpayment.
     """
     winner_ids = set(outcome.winners)
+    # ``outcome.payments`` copies the mapping on every access: read it
+    # once, or the membership test below makes the call O(winners²).
+    payments = outcome.payments
     overpayment = 0.0
-    for phone_id, payment in outcome.payments.items():
+    for phone_id, payment in payments.items():
         real_cost = (
             scenario.profile(phone_id).cost if phone_id in winner_ids else 0.0
         )
@@ -50,7 +53,7 @@ def total_overpayment(
     # Sorted: float addition is order-sensitive, and set hash order
     # would make the total differ in the last bit across processes.
     for phone_id in sorted(winner_ids):
-        if phone_id not in outcome.payments:
+        if phone_id not in payments:
             overpayment -= scenario.profile(phone_id).cost
     return overpayment
 

@@ -292,6 +292,32 @@ class TestCheckpointing:
         loaded = load_shard_checkpoint(tmp_path / "s.ckpt.jsonl")
         assert loaded == {0: b"alpha"}
 
+    def test_corrupt_line_before_intact_records_refuses(self, tmp_path):
+        """Only a crash tears a line, and only the final one: a bad line
+        with intact records after it must not silently drop them."""
+        target = tmp_path / "m.ckpt.jsonl"
+        writer = ShardCheckpointWriter(target)
+        for round_index, blob in enumerate([b"alpha", b"beta", b"gamma"]):
+            writer.append(round_index, blob)
+        writer.close()
+        raw = target.read_bytes()
+        corrupted = raw.replace(b'"round":1', b'"round":7')
+        target.write_bytes(corrupted)
+        with pytest.raises(CheckpointError, match="line 2"):
+            load_shard_checkpoint(target)
+        assert target.read_bytes() == corrupted
+
+    def test_final_record_without_newline_is_torn(self, tmp_path):
+        target = tmp_path / "n.ckpt.jsonl"
+        writer = ShardCheckpointWriter(target)
+        writer.append(0, b"alpha")
+        writer.append(1, b"beta")
+        writer.close()
+        intact = target.read_bytes().splitlines(keepends=True)
+        target.write_bytes(intact[0] + intact[1].rstrip(b"\n"))
+        assert load_shard_checkpoint(target) == {0: b"alpha"}
+        assert target.read_bytes() == intact[0]
+
     def test_duplicate_round_later_record_wins(self, tmp_path):
         writer = ShardCheckpointWriter(tmp_path / "d.ckpt.jsonl")
         writer.append(0, b"old")

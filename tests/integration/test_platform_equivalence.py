@@ -1,9 +1,9 @@
 """Integration: the incremental platform reproduces the batch mechanism.
 
-The online mechanism is specified slot-by-slot (Section V); our batch
-implementation and the event-driven platform must be *extensionally
-equal* — same allocation, same payments, same settlement slots — on any
-workload.  This is the strongest internal-consistency check in the
+The online mechanism is specified slot-by-slot (Section V); the cold
+batch oracle (``tests/online_oracle.py``) and the event-driven platform
+must be *extensionally equal* — same allocation, same payments, same
+settlement slots — on any workload.  This is the strongest internal-consistency check in the
 suite: it exercises arrival handling, pool maintenance, reserve prices,
 both payment rules, and payment timing at once.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.auction import replay_scenario
-from repro.mechanisms import OnlineGreedyMechanism
 from repro.simulation import WorkloadConfig
+from tests.online_oracle import online_outcome
 
 WORKLOADS = [
     WorkloadConfig(
@@ -55,9 +55,12 @@ def test_platform_equals_batch(workload_index, seed, reserve, rule):
     incremental, _ = replay_scenario(
         scenario, reserve_price=reserve, payment_rule=rule
     )
-    batch = OnlineGreedyMechanism(
-        reserve_price=reserve, payment_rule=rule
-    ).run(scenario.truthful_bids(), scenario.schedule)
+    batch = online_outcome(
+        scenario.truthful_bids(),
+        scenario.schedule,
+        reserve_price=reserve,
+        payment_rule=rule,
+    )
 
     assert incremental.allocation == batch.allocation
     assert set(incremental.payments) == set(batch.payments)
@@ -73,9 +76,7 @@ def test_platform_welfare_equals_batch_on_default_workload():
         seed=3
     )
     incremental, events = replay_scenario(scenario)
-    batch = OnlineGreedyMechanism().run(
-        scenario.truthful_bids(), scenario.schedule
-    )
+    batch = online_outcome(scenario.truthful_bids(), scenario.schedule)
     assert incremental.claimed_welfare == pytest.approx(
         batch.claimed_welfare
     )

@@ -9,12 +9,12 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.greedy_core import run_greedy_allocation
 from repro.model import Bid, TaskSchedule
 from repro.simulation.paper_example import (
     paper_example_bids,
     paper_example_schedule,
 )
+from tests.online_oracle import run_greedy_allocation
 
 
 def _schedule(counts, value=20.0):

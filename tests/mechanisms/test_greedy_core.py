@@ -1,15 +1,17 @@
-"""Unit tests for the shared greedy allocation (Algorithm 1)."""
+"""Unit tests for Algorithm 1, on the cold oracle the identity suites
+compare the library's engine against."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mechanisms.greedy_core import bid_sort_key, run_greedy_allocation
+from repro.mechanisms.greedy_core import bid_sort_key
 from repro.model import Bid, TaskSchedule
 from repro.simulation.paper_example import (
     paper_example_bids,
     paper_example_schedule,
 )
+from tests.online_oracle import run_greedy_allocation
 
 
 class TestBidSortKey:

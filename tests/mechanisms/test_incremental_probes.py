@@ -3,8 +3,8 @@
 A :class:`GreedyProber` answers Algorithm-2 re-runs and exact-payment
 probes by resuming from a per-slot snapshot instead of replaying the
 whole auction.  Slot resumption must be invisible: every payment it
-produces has to match the cold path bit-for-bit, across seeds and both
-reserve-price modes.
+produces has to match the cold oracle (``tests/online_oracle.py``)
+bit-for-bit, across seeds and both reserve-price modes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.greedy_core import GreedyProber, run_greedy_allocation
+from repro.mechanisms.greedy_core import GreedyProber
 from repro.simulation import WorkloadConfig
+from tests import online_oracle
 
 SEEDS = range(12)
 RESERVE_MODES = (False, True)
@@ -36,7 +37,9 @@ class TestProberBaseRun:
     def test_base_run_equals_cold_allocation(self, seed, reserve):
         bids, schedule = _instance(seed)
         prober = GreedyProber(bids, schedule, reserve_price=reserve)
-        cold = run_greedy_allocation(bids, schedule, reserve_price=reserve)
+        cold = online_oracle.run_greedy_allocation(
+            bids, schedule, reserve_price=reserve
+        )
         assert prober.base_run == cold
 
 
@@ -51,7 +54,7 @@ class TestAlgorithm2Incremental:
         bid_by_phone = prober.bid_by_phone
         for phone_id, win_slot in sorted(base.win_slots.items()):
             winner = bid_by_phone[phone_id]
-            cold = algorithm2_payment(
+            cold = online_oracle.algorithm2_payment(
                 bids, schedule, winner, win_slot, reserve_price=reserve
             )
             warm = algorithm2_payment(
@@ -75,7 +78,7 @@ class TestExactPaymentIncremental:
         bid_by_phone = prober.bid_by_phone
         for phone_id in sorted(base.win_slots):
             winner = bid_by_phone[phone_id]
-            cold = exact_critical_payment(
+            cold = online_oracle.exact_critical_payment(
                 bids, schedule, winner, reserve_price=reserve
             )
             warm = exact_critical_payment(

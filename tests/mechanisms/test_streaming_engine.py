@@ -3,7 +3,7 @@
 Equivalence at scale lives in
 ``tests/properties/test_streaming_properties.py``; this module covers
 the engine's surface — parameter validation, the single-pass allocation
-against :func:`run_greedy_allocation`, the incremental-payment guard
+against the cold oracle, slot-at-a-time driving, the payment guard
 rails, the fallback regime, memory discipline of the virtual-snapshot
 prober, and the ``online.stream.*`` counters.
 """
@@ -11,6 +11,7 @@ prober, and the ``online.stream.*`` counters.
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -24,14 +25,14 @@ from repro.mechanisms.critical_payment import (
     algorithm2_payment,
     exact_critical_payment,
 )
-from repro.mechanisms.greedy_core import (
-    GreedyProber,
-    bid_index,
-    run_greedy_allocation,
-)
+from repro.mechanisms.greedy_core import GreedyProber, bid_index
+from repro.mechanisms.streaming import _RangeMax
+from repro.model.bid import Bid
 from repro.model.task import TaskSchedule
 from repro.obs import InMemorySink, Tracer
 from repro.simulation import WorkloadConfig
+from tests import online_oracle
+from tests.online_oracle import run_greedy_allocation
 
 
 def _scenario(seed: int = 3, num_slots: int = 20, **kwargs):
@@ -40,29 +41,21 @@ def _scenario(seed: int = 3, num_slots: int = 20, **kwargs):
 
 class TestEngineSelection:
     def test_unknown_engine_is_rejected(self):
-        with pytest.raises(MechanismError, match="engine"):
+        """The mechanism runs one engine; there is nothing to select."""
+        with pytest.raises(TypeError, match="engine"):
             OnlineGreedyMechanism(engine="turbo")
 
-    def test_engine_property_reports_the_choice(self):
-        assert OnlineGreedyMechanism().engine == "batch"
-        assert (
-            OnlineGreedyMechanism(engine="streaming").engine == "streaming"
-        )
-
     def test_registry_builds_the_streaming_variant(self):
-        mechanism = create_mechanism("online-greedy", engine="streaming")
+        mechanism = create_mechanism("online-greedy")
         assert isinstance(mechanism, OnlineGreedyMechanism)
-        assert mechanism.engine == "streaming"
 
     def test_streaming_outcome_matches_batch_via_registry(self):
         scenario = _scenario()
         bids = scenario.truthful_bids()
-        batch = create_mechanism("online-greedy").run(
+        batch = online_oracle.online_outcome(bids, scenario.schedule)
+        streaming = create_mechanism("online-greedy").run(
             bids, scenario.schedule
         )
-        streaming = create_mechanism(
-            "online-greedy", engine="streaming"
-        ).run(bids, scenario.schedule)
         assert pickle.dumps(streaming) == pickle.dumps(batch)
 
 
@@ -91,6 +84,114 @@ class TestStreamingAllocation:
         engine = StreamingGreedyEngine([], schedule)
         assert engine.base_run.allocation == {}
         assert engine.cascade_steps == 0
+
+
+def _drive_online(bids, schedule, reserve_price=False):
+    """Feed ``bids`` and ``schedule`` to an online engine slot by slot."""
+    engine = StreamingGreedyEngine.online(
+        schedule.num_slots, reserve_price=reserve_price
+    )
+    for slot in range(1, schedule.num_slots + 1):
+        for bid in bids:
+            if bid.arrival == slot:
+                engine.push(bid)
+        engine.close_slot(slot, schedule.tasks_in_slot(slot))
+    return engine
+
+
+class TestOnlineDriving:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("reserve_price", [False, True])
+    def test_slot_at_a_time_matches_the_whole_round(
+        self, seed, reserve_price
+    ):
+        scenario = _scenario(seed=seed)
+        bids = scenario.truthful_bids()
+        whole = StreamingGreedyEngine(
+            bids, scenario.schedule, reserve_price=reserve_price
+        )
+        online = _drive_online(bids, scenario.schedule, reserve_price)
+        assert online.base_run == whole.base_run
+        assert online.schedule == scenario.schedule
+        for phone_id, win_slot in whole.base_run.win_slots.items():
+            winner = whole.bid_by_phone[phone_id]
+            paper = online.algorithm2_payment(winner, win_slot)
+            exact = online.exact_payment(winner)
+            assert paper == whole.algorithm2_payment(winner, win_slot)  # repro: noqa-REP002 -- bitwise identity is the property under test
+            assert exact == whole.exact_payment(winner)  # repro: noqa-REP002 -- bitwise identity is the property under test
+
+    def test_dropped_phones_are_skipped_and_counted_out(self):
+        cheap = Bid(phone_id=1, arrival=1, departure=3, cost=1.0)
+        middle = Bid(phone_id=2, arrival=1, departure=3, cost=2.0)
+        brief = Bid(phone_id=3, arrival=1, departure=1, cost=5.0)
+        late = Bid(phone_id=4, arrival=2, departure=3, cost=0.5)
+        schedule = TaskSchedule.from_counts([1, 0, 1], value=30.0)
+        engine = StreamingGreedyEngine.online(3)
+        for bid in (cheap, middle, brief):
+            engine.push(bid)
+        engine.drop(cheap.phone_id)
+        assert engine.pool_size(1) == 2
+        picks = engine.close_slot(1, schedule.tasks_in_slot(1))
+        assert picks == [middle]
+        assert engine.pool_size(1) == 1
+        engine.push(late)
+        assert engine.pool_size(2) == 1  # ``brief`` departed
+        task = schedule.tasks_in_slot(1)[0]
+        # ``late`` arrived after the task's slot: alive, not eligible.
+        assert engine.pop_covering(2, task) is None
+        assert engine.pool_size(2) == 1
+        engine.close_slot(2, ())
+        picks = engine.close_slot(3, schedule.tasks_in_slot(3))
+        assert picks == [late]
+        assert engine.pool_size(3) == 0
+
+    def test_pop_covering_takes_the_cheapest_covering_bid(self):
+        schedule = TaskSchedule.from_counts([1, 0], value=30.0)
+        engine = StreamingGreedyEngine.online(2)
+        engine.push(Bid(phone_id=1, arrival=1, departure=2, cost=4.0))
+        engine.push(Bid(phone_id=2, arrival=1, departure=2, cost=3.0))
+        engine.close_slot(1, schedule.tasks_in_slot(1))
+        engine.push(Bid(phone_id=3, arrival=2, departure=2, cost=1.0))
+        chosen = engine.pop_covering(2, schedule.tasks_in_slot(1)[0])
+        assert chosen.phone_id == 1
+        assert engine.pool_size(2) == 1
+
+    def test_slots_close_in_order(self):
+        engine = StreamingGreedyEngine.online(3)
+        with pytest.raises(MechanismError, match="cannot close slot 2"):
+            engine.close_slot(2, ())
+        engine.close_slot(1, ())
+        with pytest.raises(MechanismError, match="cannot close slot 1"):
+            engine.close_slot(1, ())
+
+    def test_prober_tracks_the_bids_and_tasks_seen_so_far(self):
+        scenario = _scenario()
+        bids = scenario.truthful_bids()
+        engine = StreamingGreedyEngine.online(scenario.num_slots)
+        for slot in range(1, 6):
+            for bid in bids:
+                if bid.arrival == slot:
+                    engine.push(bid)
+            engine.close_slot(slot, scenario.schedule.tasks_in_slot(slot))
+        known = [bid for bid in bids if bid.arrival <= 5]
+        assert engine.prober.covers(known)
+        assert engine.prober.base_run == engine.base_run
+        assert len(engine.schedule) == sum(
+            len(scenario.schedule.tasks_in_slot(s)) for s in range(1, 6)
+        )
+
+
+class TestRangeMax:
+    def test_growing_table_answers_like_a_scan(self):
+        rng = np.random.default_rng(5)
+        values = []
+        table = _RangeMax(values)
+        for _ in range(70):
+            values.append(float(rng.integers(-9, 10)))
+            for _ in range(5):
+                lo = int(rng.integers(len(values)))
+                hi = int(rng.integers(lo, len(values)))
+                assert table.query(lo, hi) == max(values[lo:hi + 1])  # repro: noqa-REP002 -- the table returns stored floats unchanged
 
 
 class TestPaymentGuards:
@@ -154,13 +255,15 @@ class TestPaymentGuards:
         assert schedule.uniform_value is None
         engine = StreamingGreedyEngine(bids, schedule, reserve_price=True)
         assert not engine.supports_incremental_payments
-        with pytest.raises(MechanismError, match="incremental"):
-            engine.exact_payment(bids[0])
         # The payment entry points silently reroute through the prober
-        # and stay bit-identical to the engine-free path.
+        # and stay bit-identical to the cold oracle.
+        tracer = Tracer(sink=InMemorySink())
+        with obs.activate(tracer):
+            engine.exact_payment(bids[0])
+        assert tracer.metrics.counters["online.stream.payment_fallbacks"] == 1
         for phone_id, win_slot in engine.base_run.win_slots.items():
             winner = engine.bid_by_phone[phone_id]
-            direct = algorithm2_payment(
+            direct = online_oracle.algorithm2_payment(
                 bids, schedule, winner, win_slot, reserve_price=True
             )
             routed = algorithm2_payment(
@@ -172,7 +275,7 @@ class TestPaymentGuards:
                 engine=engine,
             )
             assert routed == direct  # repro: noqa-REP002 -- bitwise fallback equivalence is the property under test
-            exact_direct = exact_critical_payment(
+            exact_direct = online_oracle.exact_critical_payment(
                 bids, schedule, winner, reserve_price=True
             )
             exact_routed = exact_critical_payment(
@@ -207,7 +310,7 @@ class TestStreamTelemetry:
         bids = scenario.truthful_bids()
         tracer = Tracer(sink=InMemorySink())
         with obs.activate(tracer):
-            OnlineGreedyMechanism(engine="streaming").run(
+            OnlineGreedyMechanism().run(
                 bids, scenario.schedule
             )
         counters = tracer.metrics.counters
@@ -222,7 +325,7 @@ class TestStreamTelemetry:
         bids = scenario.truthful_bids()
         tracer = Tracer(sink=InMemorySink())
         with obs.activate(tracer):
-            OnlineGreedyMechanism(engine="streaming").run(
+            OnlineGreedyMechanism().run(
                 bids, scenario.schedule
             )
         assert "online.stream.payment_fallbacks" not in (

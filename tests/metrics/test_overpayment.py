@@ -70,3 +70,19 @@ class TestDefinition11:
         )
         # Denominator is zero: the ratio is undefined, not infinite.
         assert overpayment_ratio(outcome, scenario) is None
+
+
+class TestCost:
+    def test_reads_the_payment_mapping_once(self, scenario, monkeypatch):
+        """``AuctionOutcome.payments`` copies the mapping on every read;
+        one read per winner made the call quadratic in winners."""
+        outcome = _outcome(scenario, {0: 1, 1: 2}, {1: 6.0})
+        reads = []
+        copy_payments = AuctionOutcome.payments.fget
+        monkeypatch.setattr(
+            AuctionOutcome,
+            "payments",
+            property(lambda self: reads.append(1) or copy_payments(self)),
+        )
+        assert total_overpayment(outcome, scenario) == pytest.approx(-4.0)
+        assert len(reads) == 1

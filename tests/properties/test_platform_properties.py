@@ -1,4 +1,5 @@
-"""Property-based equivalence: incremental platform == batch mechanism."""
+"""Property-based equivalence: incremental platform == the cold batch
+oracle (``tests/online_oracle.py``)."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.auction import replay_scenario
-from repro.mechanisms import OnlineGreedyMechanism
 from repro.model import TaskSchedule
 from repro.simulation import Scenario
+from tests.online_oracle import online_outcome
 from tests.properties.strategies import MAX_SLOTS, profile_lists
 
 
@@ -33,8 +34,10 @@ class TestPlatformEquivalenceProperty:
     @settings(max_examples=50, deadline=None)
     def test_replay_equals_batch(self, scenario, reserve):
         incremental, _ = replay_scenario(scenario, reserve_price=reserve)
-        batch = OnlineGreedyMechanism(reserve_price=reserve).run(
-            scenario.truthful_bids(), scenario.schedule
+        batch = online_outcome(
+            scenario.truthful_bids(),
+            scenario.schedule,
+            reserve_price=reserve,
         )
         assert incremental.allocation == batch.allocation
         assert set(incremental.payments) == set(batch.payments)
@@ -50,9 +53,12 @@ class TestPlatformEquivalenceProperty:
         incremental, _ = replay_scenario(
             scenario, reserve_price=True, payment_rule="exact"
         )
-        batch = OnlineGreedyMechanism(
-            reserve_price=True, payment_rule="exact"
-        ).run(scenario.truthful_bids(), scenario.schedule)
+        batch = online_outcome(
+            scenario.truthful_bids(),
+            scenario.schedule,
+            reserve_price=True,
+            payment_rule="exact",
+        )
         assert incremental.allocation == batch.allocation
         for phone_id, amount in batch.payments.items():
             assert incremental.payment(phone_id) == pytest.approx(amount)

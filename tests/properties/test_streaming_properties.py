@@ -1,9 +1,10 @@
 """Streaming-vs-batch equivalence properties of the online engine.
 
-The guarantee under test: ``OnlineGreedyMechanism(engine="streaming")``
-is a drop-in replacement for the batch engine — the *pickled*
-``AuctionOutcome`` objects are byte-identical on every instance, for
-both payment rules and both reserve modes.  Byte-identity of the pickle
+The guarantee under test: ``OnlineGreedyMechanism``, which runs the
+streaming engine, returns exactly what the cold batch oracle
+(``tests/online_oracle.py``: one full re-run per payment) returns — the
+*pickled* ``AuctionOutcome`` objects are byte-identical on every
+instance, for both payment rules and both reserve modes.  Byte-identity of the pickle
 is deliberately stronger than field equality: it also pins dict
 insertion order (allocation, payments, payment slots), so any drift in
 the event-driven pass's iteration order shows up here.
@@ -24,6 +25,7 @@ from repro.model.bid import Bid
 from repro.model.task import SensingTask, TaskSchedule
 from repro.simulation.costs import CostDistribution
 from repro.simulation.workload import WorkloadConfig
+from tests.online_oracle import online_outcome
 
 #: The headline property sweep: 50 independent Table-I style rounds.
 SEEDS = range(50)
@@ -59,13 +61,14 @@ def _round(seed: int, cost_distribution=None, **config):
 
 
 def _assert_byte_identical(bids, schedule, *, payment_rule, reserve_price):
-    batch = OnlineGreedyMechanism(
-        reserve_price=reserve_price, payment_rule=payment_rule
-    ).run(bids, schedule)
-    streaming = OnlineGreedyMechanism(
+    batch = online_outcome(
+        bids,
+        schedule,
         reserve_price=reserve_price,
         payment_rule=payment_rule,
-        engine="streaming",
+    )
+    streaming = OnlineGreedyMechanism(
+        reserve_price=reserve_price, payment_rule=payment_rule
     ).run(bids, schedule)
     assert pickle.dumps(streaming) == pickle.dumps(batch)
     return batch, streaming

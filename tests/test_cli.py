@@ -709,39 +709,7 @@ class TestOutputModes:
 
 
 class TestEngineFlag:
-    def test_simulate_streaming_engine_matches_batch(self, capsys):
-        code_b, out_b, _ = run_cli(
-            capsys,
-            "simulate", "--slots", "8", "--seed", "1", "--json",
-        )
-        code_s, out_s, _ = run_cli(
-            capsys,
-            "simulate", "--slots", "8", "--seed", "1", "--json",
-            "--engine", "streaming",
-        )
-        assert code_b == 0 and code_s == 0
-        assert json.loads(out_s) == json.loads(out_b)
-
-    def test_campaign_accepts_engine(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "campaign",
-            "--slots", "6",
-            "--rounds", "2",
-            "--seed", "3",
-            "--engine", "streaming",
-        )
-        assert code == 0
-        assert "Per-round results" in out
-
-    def test_figures_accepts_engine(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "figures", "fig7", "--repetitions", "1",
-            "--engine", "streaming",
-        )
-        assert code == 0
-        assert "Fig. 7" in out
+    """The online mechanism runs one engine: no command takes a choice."""
 
     def test_unknown_engine_rejected(self, capsys):
         with pytest.raises(SystemExit):
