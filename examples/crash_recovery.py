@@ -9,7 +9,7 @@ layer end to end:
 
 1. run a fault-injected round through a :class:`JournaledPlatform`
    that journals every command to a write-ahead log *before* applying
-   it (hash-chained, fsync'd JSONL segments);
+   it (a hash-chained, fsync'd JSONL record log);
 2. kill the process (simulated) after an arbitrary journal write, with
    the final record torn in half — the classic crash signature;
 3. recover: re-open the journal (the torn tail is detected via the

@@ -29,9 +29,14 @@ class AuctionEvent:
         return f"[slot {self.slot}] {type(self).__name__}"
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly representation, tagged with the event type."""
+        """JSON-friendly representation, tagged with the event type.
+
+        Every event field is a scalar and the instance dict holds
+        exactly the fields, in declaration order, so this shallow read
+        equals ``dataclasses.asdict`` without its per-field deep copy.
+        """
         payload: Dict[str, Any] = {"event": type(self).__name__}
-        payload.update(dataclasses.asdict(self))
+        payload.update(vars(self))
         return payload
 
 

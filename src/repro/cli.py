@@ -787,18 +787,17 @@ def _cmd_verify_log(args: argparse.Namespace, console: Console) -> int:
     if scan.torn and args.strict:
         raise ReproError(
             f"journal has a torn tail: {scan.torn_reason} "
-            f"(segment {scan.torn_segment}, offset {scan.torn_offset})"
+            f"({scan.path}, offset {scan.torn_offset})"
         )
     status = "TORN TAIL" if scan.torn else "OK"
     console.out(
-        f"\n{args.journal}: {len(scan.records)} valid records across "
-        f"{len(scan.segments)} segment(s) — {status}"
+        f"\n{args.journal}: {len(scan.records)} valid records in "
+        f"{scan.path.name} — {status}"
     )
     if scan.torn:
         console.out(
-            f"  torn tail in {scan.torn_segment} at offset "
-            f"{scan.torn_offset} ({scan.truncated_bytes} bytes): "
-            f"{scan.torn_reason}"
+            f"  torn tail at offset {scan.torn_offset} "
+            f"({scan.truncated_bytes} bytes): {scan.torn_reason}"
         )
         console.out(
             "  (recoverable: opening the journal for append truncates "
@@ -808,7 +807,7 @@ def _cmd_verify_log(args: argparse.Namespace, console: Console) -> int:
         {
             "journal": str(args.journal),
             "records": len(scan.records),
-            "segments": [p.name for p in scan.segments],
+            "path": scan.path.name,
             "last_seq": scan.last_seq,
             "torn": scan.torn,
             "torn_reason": scan.torn_reason,

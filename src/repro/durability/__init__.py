@@ -2,12 +2,15 @@
 
 The ROADMAP's "auction-as-a-service" item needs a platform that can
 lose power between a bid arriving and a payment settling.  This package
-supplies the three layers:
+supplies four layers:
 
-* :mod:`repro.durability.journal` — the append-only, hash-chained JSONL
-  write-ahead journal with fsync policies, segment rotation, and a
-  recovery scan that truncates torn tails but refuses mid-log
-  corruption with a typed :class:`~repro.errors.JournalError`;
+* :mod:`repro.durability.recordlog` — the append-only, hash-chained
+  JSONL record log under the journal and the shard checkpoints: one
+  framing, one fsync policy, one crash hook, and a recovery scan that
+  truncates torn tails but refuses mid-log corruption with the
+  client's typed error;
+* :mod:`repro.durability.journal` — the write-ahead journal, the
+  record log's auction-event codec;
 * :mod:`repro.durability.journaled` — :class:`JournaledPlatform`, the
   wrapper that journals every command *before* the corresponding
   :class:`~repro.auction.CrowdsourcingPlatform` mutation (and every
@@ -23,21 +26,24 @@ runtime by :func:`repro.analysis.sanitizer.check_replay_fidelity`.
 """
 
 from repro.durability.journal import (
-    FSYNC_ALWAYS,
-    FSYNC_BATCH,
-    FSYNC_OFF,
-    GENESIS_HASH,
     KIND_COMMAND,
     KIND_EVENT,
     Journal,
     JournalRecord,
-    ScanResult,
     decode_line,
     record_hash,
     scan_journal,
     segment_paths,
 )
 from repro.durability.journaled import JournaledPlatform
+from repro.durability.recordlog import (
+    FSYNC_ALWAYS,
+    FSYNC_BATCH,
+    FSYNC_OFF,
+    GENESIS_HASH,
+    RecordLog,
+    ScanResult,
+)
 from repro.durability.replay import (
     ReplayResult,
     ResumeResult,
@@ -52,6 +58,7 @@ from repro.durability.replay import (
 __all__ = [
     "Journal",
     "JournalRecord",
+    "RecordLog",
     "ScanResult",
     "scan_journal",
     "segment_paths",

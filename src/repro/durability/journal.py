@@ -1,52 +1,30 @@
-"""The append-only write-ahead JSONL journal.
+"""The write-ahead journal: an auction-event codec over the record log.
 
-One record per line, canonical JSON, SHA-256 hash-chained::
+A round's journal is one file, ``segment-00000001.jsonl``, in its
+directory, written through :mod:`repro.durability.recordlog` (framing,
+hash chain, fsync policy, crash hook, torn-tail contract).  The payload
+of a record is ``{"event": <event dict>, "kind": kind}``, so a line is::
 
     {"event": {...}, "hash": h_n, "kind": "command"|"event",
      "prev": h_{n-1}, "seq": n}
 
-where ``h_n = sha256(canonical({event, kind, prev, seq}))`` and the
-genesis ``prev`` is 64 zeros.  Sequence numbers are 1-based and strictly
-monotonic across segment files (``segment-00000001.jsonl``, rotated by
-byte size), so any truncation, reordering, duplication, or bit flip
-breaks either a record's own hash or the chain to its neighbour.
-
-Recovery (:func:`scan_journal`, run on every open) distinguishes the two
-failure shapes a crash-consistent log must tell apart:
-
-* a **torn tail** — the final record of the final segment fails to
-  decode or chain.  That is the expected signature of a crash mid-write
-  (including a duplicated or checksum-flipped final record) and is
-  repaired by truncating the segment back to the last good byte;
-* **mid-log corruption** — any earlier record fails.  That can never be
-  produced by a crash of this writer (records are appended strictly in
-  order and never rewritten), so recovery refuses with a typed
-  :class:`~repro.errors.JournalError` naming the bad sequence number.
-
-Durability of individual appends is governed by the fsync policy:
-``"always"`` fsyncs every record, ``"batch"`` every ``batch_size``
-records (and on close), ``"off"`` leaves flushing to the OS.  Writes go
-through an optional :class:`~repro.utils.retry.RetryPolicy` for
-transient ``OSError``.
+A directory holding a second segment file was written by a build that
+rotated segments, and is refused with a :class:`~repro.errors.JournalError`
+naming the extra file.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 import pathlib
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.auction.events import AuctionEvent, event_from_dict
+from repro.durability import recordlog
+from repro.durability.recordlog import FSYNC_BATCH, ScanResult, canonical_json
 from repro.errors import EventDecodeError, JournalError
-from repro.obs.clock import perf_seconds
-from repro.utils.retry import RetryPolicy, call_with_retry
-
-#: ``prev`` hash of the first record.
-GENESIS_HASH = "0" * 64
 
 #: Record kinds: a *command* is journaled before the platform mutation
 #: it describes (the redo log proper); an *event* is a derived
@@ -56,29 +34,17 @@ KIND_COMMAND = "command"
 KIND_EVENT = "event"
 _KINDS = (KIND_COMMAND, KIND_EVENT)
 
-#: Supported fsync policies.
-FSYNC_ALWAYS = "always"
-FSYNC_BATCH = "batch"
-FSYNC_OFF = "off"
-_FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF)
-
-_SEGMENT_PREFIX = "segment-"
-_SEGMENT_SUFFIX = ".jsonl"
-
-
-def _canonical(payload: Mapping[str, Any]) -> str:
-    """Canonical JSON: sorted keys, no whitespace (checkpoint idiom)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: The journal's one file inside its directory.
+SEGMENT_NAME = "segment-00000001.jsonl"
 
 
 def record_hash(
     seq: int, prev: str, kind: str, event_payload: Mapping[str, Any]
 ) -> str:
     """The SHA-256 chaining hash of one record body."""
-    body = _canonical(
-        {"event": dict(event_payload), "kind": kind, "prev": prev, "seq": seq}
+    return recordlog.record_hash(
+        {"event": dict(event_payload), "kind": kind}, prev, seq
     )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +59,7 @@ class JournalRecord:
 
     def to_line(self) -> str:
         """The record's canonical JSONL line (without the newline)."""
-        return _canonical(
+        return canonical_json(
             {
                 "event": self.event.to_dict(),
                 "hash": self.hash,
@@ -108,52 +74,27 @@ def make_record(
     seq: int, prev: str, kind: str, event: AuctionEvent
 ) -> JournalRecord:
     """Build (and hash) a record from its parts."""
-    if kind not in _KINDS:
-        raise JournalError(f"unknown record kind {kind!r}", sequence=seq)
+    _check_kind(kind, seq)
     digest = record_hash(seq, prev, kind, event.to_dict())
     return JournalRecord(
         seq=seq, prev=prev, kind=kind, event=event, hash=digest
     )
 
 
-def decode_line(line: str) -> JournalRecord:
-    """Decode one JSONL line into a verified record.
-
-    Raises :class:`~repro.errors.JournalError` when the line is not
-    valid JSON, misses fields, fails its own hash, or carries an
-    undecodable event payload.  Chain position (seq/prev against the
-    neighbour) is the scanner's job, not this function's.
-    """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JournalError(f"record is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise JournalError("record is not a JSON object")
-    try:
-        seq = payload["seq"]
-        prev = payload["prev"]
-        kind = payload["kind"]
-        event_payload = payload["event"]
-        digest = payload["hash"]
-    except KeyError as exc:
-        raise JournalError(f"record misses field {exc}") from exc
-    if not isinstance(seq, int) or isinstance(seq, bool):
-        raise JournalError(f"record seq must be an int, got {seq!r}")
+def _check_kind(kind: Any, seq: int) -> None:
     if kind not in _KINDS:
-        raise JournalError(
-            f"unknown record kind {kind!r}", sequence=seq
-        )
-    expected = record_hash(seq, prev, kind, event_payload)
-    if digest != expected:
-        raise JournalError(
-            f"record {seq} checksum mismatch: recorded {digest!r}, "
-            f"recomputed {expected!r}",
-            sequence=seq,
-        )
+        raise JournalError(f"unknown record kind {kind!r}", sequence=seq)
+
+
+def _decode(
+    fields: Dict[str, Any], seq: int, prev: str, digest: str
+) -> JournalRecord:
+    """The journal's payload decoder (see :data:`recordlog.Decoder`)."""
+    kind = fields.get("kind")
+    _check_kind(kind, seq)
     try:
-        event = event_from_dict(event_payload)
-    except EventDecodeError as exc:
+        event = event_from_dict(fields["event"])
+    except (KeyError, EventDecodeError) as exc:
         raise JournalError(
             f"record {seq} carries an undecodable event: {exc}",
             sequence=seq,
@@ -163,257 +104,68 @@ def decode_line(line: str) -> JournalRecord:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class ScanResult:
-    """Outcome of a recovery scan over a journal directory.
+def decode_line(line: str) -> JournalRecord:
+    """Decode one JSONL line into a record whose own hash verifies.
 
-    Attributes
-    ----------
-    records:
-        Every verified record, in sequence order.
-    segments:
-        The segment files, in name (= write) order.
-    torn_segment / torn_offset / torn_reason:
-        When the final record was invalid: the file holding it, the
-        byte offset its bytes start at, and why it was rejected.
-    truncated_bytes:
-        How many trailing bytes a repair would (or did) discard.
+    Raises :class:`~repro.errors.JournalError` for a malformed, tampered
+    or undecodable line; the chain is the scanner's job.
     """
-
-    records: Tuple[JournalRecord, ...]
-    segments: Tuple[pathlib.Path, ...]
-    torn_segment: Optional[pathlib.Path] = None
-    torn_offset: Optional[int] = None
-    torn_reason: Optional[str] = None
-    truncated_bytes: int = 0
-
-    @property
-    def torn(self) -> bool:
-        """Whether the scan found (and marked) a torn tail."""
-        return self.torn_segment is not None
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the last good record (0 when empty)."""
-        return self.records[-1].seq if self.records else 0
-
-    @property
-    def last_hash(self) -> str:
-        """Chain hash of the last good record (genesis when empty)."""
-        return self.records[-1].hash if self.records else GENESIS_HASH
+    return _decode(*recordlog.parse_record(line.encode("utf-8"), JournalError))
 
 
-def segment_paths(directory: pathlib.Path) -> List[pathlib.Path]:
-    """The journal's segment files, in rotation order."""
-    if not directory.exists():
-        return []
-    return sorted(
-        path
-        for path in directory.iterdir()
-        if path.name.startswith(_SEGMENT_PREFIX)
-        and path.name.endswith(_SEGMENT_SUFFIX)
-    )
+def segment_paths(directory: "os.PathLike[str]") -> List[pathlib.Path]:
+    """The segment files in a journal directory, in name order."""
+    return sorted(pathlib.Path(directory).glob("segment-*.jsonl"))
 
 
-def _split_lines(data: bytes) -> List[Tuple[int, bytes]]:
-    """``(byte_offset, line_without_newline)`` for every non-empty line.
-
-    A final chunk without a trailing newline is returned too — whether
-    it is a torn write or a complete record is decided by decoding it.
-    """
-    lines: List[Tuple[int, bytes]] = []
-    offset = 0
-    for chunk in data.split(b"\n"):
-        if chunk:
-            lines.append((offset, chunk))
-        offset += len(chunk) + 1
-    return lines
-
-
-def scan_journal(directory: os.PathLike) -> ScanResult:
-    """Verify a journal directory record by record.
-
-    Applies the torn-tail rule: only the *final* record of the *final*
-    segment may be invalid (it is reported, not raised); any earlier
-    invalid record raises :class:`~repro.errors.JournalError` naming
-    the bad sequence number.  The directory is not modified.
-    """
+def _journal_file(directory: "os.PathLike[str]") -> pathlib.Path:
+    """The journal's file; refuses a directory of several segments."""
     root = pathlib.Path(directory)
-    segments = segment_paths(root)
-    records: List[JournalRecord] = []
-    expected_seq = 1
-    prev_hash = GENESIS_HASH
-    with obs.span("journal.scan", directory=str(root)) as tel:
-        for segment_index, segment in enumerate(segments):
-            data = segment.read_bytes()
-            lines = _split_lines(data)
-            for line_index, (offset, raw) in enumerate(lines):
-                is_final_line = (
-                    segment_index == len(segments) - 1
-                    and line_index == len(lines) - 1
-                )
-                try:
-                    record = decode_line(raw.decode("utf-8", "replace"))
-                    if record.seq != expected_seq:
-                        raise JournalError(
-                            f"record out of sequence: expected "
-                            f"{expected_seq}, found {record.seq}",
-                            sequence=expected_seq,
-                        )
-                    if record.prev != prev_hash:
-                        raise JournalError(
-                            f"record {record.seq} breaks the hash chain: "
-                            f"prev {record.prev!r} does not match "
-                            f"{prev_hash!r}",
-                            sequence=record.seq,
-                        )
-                except JournalError as exc:
-                    if is_final_line:
-                        # The signature of a crash mid-write: repairable.
-                        return ScanResult(
-                            records=tuple(records),
-                            segments=tuple(segments),
-                            torn_segment=segment,
-                            torn_offset=offset,
-                            torn_reason=str(exc),
-                            truncated_bytes=len(data) - offset,
-                        )
-                    raise JournalError(
-                        f"mid-log corruption at sequence "
-                        f"{exc.sequence if exc.sequence is not None else expected_seq}"
-                        f" in {segment.name}: {exc}",
-                        sequence=(
-                            exc.sequence
-                            if exc.sequence is not None
-                            else expected_seq
-                        ),
-                    ) from exc
-                if is_final_line and not data.endswith(b"\n"):
-                    # The record decodes but its newline never landed:
-                    # a torn write that lost exactly the terminator.
-                    # Appending after it would corrupt the line, so the
-                    # whole record is redone.
-                    return ScanResult(
-                        records=tuple(records),
-                        segments=tuple(segments),
-                        torn_segment=segment,
-                        torn_offset=offset,
-                        torn_reason=(
-                            f"record {record.seq} is missing its "
-                            f"trailing newline (torn write)"
-                        ),
-                        truncated_bytes=len(data) - offset,
-                    )
-                records.append(record)
-                expected_seq += 1
-                prev_hash = record.hash
-        tel.set_attribute("records", len(records))
-    return ScanResult(records=tuple(records), segments=tuple(segments))
+    extra = [p for p in segment_paths(root) if p.name != SEGMENT_NAME]
+    if extra:
+        raise JournalError(
+            f"{root} holds segment file {extra[0].name} next to "
+            f"{SEGMENT_NAME}; a journal is one file, so a rotated "
+            f"multi-segment journal cannot be read"
+        )
+    return root / SEGMENT_NAME
+
+
+def scan_journal(directory: "os.PathLike[str]") -> ScanResult:
+    """Verify a journal directory (read-only); see :func:`recordlog.scan`."""
+    return recordlog.scan(_journal_file(directory), _decode, JournalError)
 
 
 class Journal:
     """An open write-ahead journal (recovered on open, append-only after).
 
-    Parameters
-    ----------
-    directory:
-        The journal directory (created if missing); one journal per
-        round.
-    fsync:
-        ``"always"`` / ``"batch"`` / ``"off"`` — see the module
-        docstring.
-    batch_size:
-        Records per fsync under the ``"batch"`` policy.
-    segment_bytes:
-        Rotation threshold: a new segment file is started once the
-        current one reaches this many bytes.
-    io_retry:
-        Optional :class:`~repro.utils.retry.RetryPolicy` applied to
-        every write/fsync against transient ``OSError``.
-    crash_hook:
-        Fault-injection point (see
-        :class:`~repro.faults.crash.CrashController`): an object with
-        ``mutate(seq, data) -> bytes`` called just before the bytes
-        hit the file, and ``after_append(seq)`` called just after —
-        which may raise to simulate the process dying.  The journal
-        flushes before ``after_append`` so the "crashed" bytes are on
-        disk for recovery, exactly like a real kill between ``write``
-        and return.
-    repair:
-        Truncate a torn tail found on open (default).  With
-        ``repair=False`` a torn journal raises instead — use
-        :func:`scan_journal` for read-only inspection.
+    ``directory`` is created if missing (one journal per round);
+    ``fsync`` (``"always"`` / ``"batch"`` / ``"off"``) and
+    ``crash_hook`` (a :class:`~repro.faults.crash.CrashController`) are
+    the record log's, see :mod:`repro.durability.recordlog`.
     """
 
     def __init__(
         self,
-        directory: os.PathLike,
+        directory: "os.PathLike[str]",
         fsync: str = FSYNC_BATCH,
-        batch_size: int = 8,
-        segment_bytes: int = 1 << 20,
-        io_retry: Optional[RetryPolicy] = None,
         crash_hook: Optional[Any] = None,
-        repair: bool = True,
     ) -> None:
-        if fsync not in _FSYNC_POLICIES:
-            raise JournalError(
-                f"unknown fsync policy {fsync!r}; expected one of "
-                f"{_FSYNC_POLICIES}"
-            )
-        if batch_size < 1:
-            raise JournalError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        if segment_bytes < 1:
-            raise JournalError(
-                f"segment_bytes must be >= 1, got {segment_bytes}"
-            )
         self._directory = pathlib.Path(directory)
-        self._fsync = fsync
-        self._batch_size = batch_size
-        self._segment_bytes = segment_bytes
-        self._io_retry = io_retry or RetryPolicy()
-        self._crash_hook = crash_hook
-        self._directory.mkdir(parents=True, exist_ok=True)
-
         with obs.span("journal.open", directory=str(self._directory)) as tel:
-            scan = scan_journal(self._directory)
-            if scan.torn:
-                if not repair:
-                    raise JournalError(
-                        f"journal has a torn tail in "
-                        f"{scan.torn_segment} ({scan.torn_reason}); "
-                        f"open with repair=True to truncate it"
-                    )
-                self._truncate_tail(scan)
-            self._records: List[JournalRecord] = list(scan.records)
-            self._next_seq = scan.last_seq + 1
-            self._prev_hash = scan.last_hash
-            obs.counter("journal.recovered_records", len(scan.records))
-            tel.set_attribute("recovered_records", len(scan.records))
-            tel.set_attribute("truncated_bytes", scan.truncated_bytes)
-
-        segments = segment_paths(self._directory)
-        if segments:
-            self._segment_path = segments[-1]
-            self._segment_size = self._segment_path.stat().st_size
-            self._segment_index = int(
-                self._segment_path.name[
-                    len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)
-                ]
+            self._log = recordlog.RecordLog(
+                _journal_file(self._directory),
+                _decode,
+                JournalError,
+                fsync=fsync,
+                crash_hook=crash_hook,
             )
-        else:
-            self._segment_index = 1
-            self._segment_path = self._segment_file(1)
-            self._segment_size = 0
-        self._handle = open(self._segment_path, "ab")
-        self._unsynced = 0
-        self._dead = False
-        self._closed = False
+            recovered = self._log.recovered
+            self._records: List[JournalRecord] = list(recovered.records)
+            obs.counter("journal.recovered_records", len(self._records))
+            tel.set_attribute("recovered_records", len(self._records))
+            tel.set_attribute("truncated_bytes", recovered.truncated_bytes)
 
-    # ------------------------------------------------------------------
-    # State inspection
-    # ------------------------------------------------------------------
     @property
     def directory(self) -> pathlib.Path:
         """The journal directory."""
@@ -427,113 +179,29 @@ class Journal:
     @property
     def last_seq(self) -> int:
         """Sequence number of the last record (0 when empty)."""
-        return self._next_seq - 1
+        return self._log.last_seq
 
-    def _segment_file(self, index: int) -> pathlib.Path:
-        return self._directory / (
-            f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
-        )
-
-    def _truncate_tail(self, scan: ScanResult) -> None:
-        """Repair a torn tail: cut the segment back to the good bytes."""
-        assert scan.torn_segment is not None
-        assert scan.torn_offset is not None
-        with open(scan.torn_segment, "r+b") as handle:
-            handle.truncate(scan.torn_offset)
-        obs.counter("journal.truncated_bytes", scan.truncated_bytes)
-        obs.counter("journal.torn_tails")
-
-    # ------------------------------------------------------------------
-    # Appending
-    # ------------------------------------------------------------------
     def append(self, kind: str, event: AuctionEvent) -> JournalRecord:
         """Append one record; returns it once durable per the policy."""
-        if self._closed:
-            raise JournalError("journal is closed")
-        if self._dead:
-            raise JournalError(
-                "journal observed a simulated crash; no further appends"
-            )
-        record = make_record(self._next_seq, self._prev_hash, kind, event)
-        data = (record.to_line() + "\n").encode("utf-8")
-        if self._segment_size + len(data) > self._segment_bytes and (
-            self._segment_size > 0
-        ):
-            self._rotate()
-        crashing = False
-        if self._crash_hook is not None:
-            mutated = self._crash_hook.mutate(record.seq, data)
-            crashing = mutated is not data and mutated != data
-            data = mutated
-        call_with_retry(
-            lambda: self._write(data), self._io_retry, retry_on=(OSError,)
+        _check_kind(kind, self._log.last_seq + 1)
+        seq, prev, digest = self._log.append(
+            {"event": event.to_dict(), "kind": kind}
         )
-        self._segment_size += len(data)
-        self._unsynced += 1
-        if self._fsync == FSYNC_ALWAYS or (
-            self._fsync == FSYNC_BATCH
-            and self._unsynced >= self._batch_size
-        ):
-            self.sync()
-        obs.counter("journal.appends")
-        if self._crash_hook is not None:
-            # Flush so the (possibly mutated) tail is visible to the
-            # recovery that follows the simulated death.
-            self._handle.flush()
-            try:
-                self._crash_hook.after_append(record.seq)
-            except BaseException:
-                self._dead = True
-                raise
-        if crashing:  # pragma: no cover - hook should have raised
-            self._dead = True
-            raise JournalError(
-                "crash hook mutated the record but did not raise"
-            )
+        record = JournalRecord(
+            seq=seq, prev=prev, kind=kind, event=event, hash=digest
+        )
         self._records.append(record)
-        self._next_seq += 1
-        self._prev_hash = record.hash
+        obs.counter("journal.appends")
         return record
 
-    def _write(self, data: bytes) -> None:
-        self._handle.write(data)
-        self._handle.flush()
-
-    def _rotate(self) -> None:
-        """Seal the current segment and start the next one."""
-        self.sync()
-        self._handle.close()
-        self._segment_index += 1
-        self._segment_path = self._segment_file(self._segment_index)
-        self._segment_size = 0
-        self._handle = open(self._segment_path, "ab")
-        obs.counter("journal.rotations")
-
     def sync(self) -> None:
-        """Flush and fsync the current segment (a no-op when ``off``)."""
-        self._handle.flush()
-        if self._fsync != FSYNC_OFF:
-            fsync_start = perf_seconds()
-            call_with_retry(
-                lambda: os.fsync(self._handle.fileno()),
-                self._io_retry,
-                retry_on=(OSError,),
-            )
-            obs.observe(
-                "journal.fsync.seconds", perf_seconds() - fsync_start
-            )
-        self._unsynced = 0
+        """fsync the journal file (a no-op when ``off``)."""
+        self._log.sync()
 
     def close(self) -> None:
-        """Flush, fsync, and close the journal (idempotent)."""
-        if self._closed:
-            return
-        try:
-            if not self._handle.closed:
-                self.sync()
-        finally:
-            self._handle.close()
-            self._closed = True
+        """fsync and close the journal (idempotent)."""
+        self.sync()
+        self._log.close()
 
     def __enter__(self) -> "Journal":
         return self

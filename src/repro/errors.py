@@ -112,22 +112,27 @@ class FaultError(SimulationError):
     """
 
 
-class JournalError(ReproError):
-    """A write-ahead journal is corrupt, inconsistent, or misused.
+class RecordLogError(ReproError):
+    """A record log is corrupt or misused (base of the strict logs' errors).
 
-    Examples: a mid-log record whose checksum or hash chain does not
-    verify (:attr:`sequence` names the offending record), an append to
-    a journal that already observed a simulated crash, or a journal
-    whose header records a different round configuration than the one
-    being resumed.  A *torn tail* — an invalid final record, the
-    signature of a crash mid-write — is not an error: recovery
-    truncates it silently.
+    Examples: a mid-log record whose hash or chain does not verify
+    (:attr:`sequence` names it), or an append after a simulated crash.
+    A *torn tail* — a bad final record — is repaired, not raised.
     """
 
     def __init__(self, message: str, sequence: "Optional[int]" = None) -> None:
         super().__init__(message)
         #: Sequence number of the offending record, when known.
         self.sequence = sequence
+
+
+class JournalError(RecordLogError):
+    """A write-ahead journal is corrupt, inconsistent, or misused.
+
+    Examples beyond :class:`RecordLogError`'s: a journal directory
+    holding more than one segment file, or a journal whose header
+    records a different round configuration than the one resumed.
+    """
 
 
 class ReplayDivergenceError(JournalError):
@@ -149,12 +154,13 @@ class ExperimentError(ReproError):
     """
 
 
-class CheckpointError(ExperimentError):
-    """A sweep checkpoint could not be written, read, or trusted.
+class CheckpointError(ExperimentError, RecordLogError):
+    """A sweep or shard checkpoint could not be written, read, or trusted.
 
     Examples: a checkpoint file with an unknown schema version, a
-    checksum mismatch (corruption), or a payload recorded for a
-    different sweep point than the one requested.
+    checksum mismatch (corruption), mid-log corruption of a shard
+    checkpoint, or a payload recorded for a different sweep point than
+    the one requested.
     """
 
 

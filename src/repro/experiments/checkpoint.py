@@ -23,7 +23,6 @@ place.  Transient I/O failures on save/load retry under an optional
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import pathlib
@@ -32,6 +31,7 @@ import tempfile
 from typing import Any, Dict, Mapping, Optional
 
 from repro import obs
+from repro.durability.recordlog import canonical_json, checksum_text
 from repro.errors import CheckpointError
 from repro.experiments.runner import MechanismMetrics, SweepPoint
 from repro.metrics.summary import Summary
@@ -39,27 +39,6 @@ from repro.utils.retry import RetryPolicy, call_with_retry
 
 #: Bump when the checkpoint payload layout changes incompatibly.
 SCHEMA_VERSION = 1
-
-
-def canonical_json(payload: Mapping[str, Any]) -> str:
-    """Canonical JSON encoding: sorted keys, no whitespace.
-
-    The checksum convention every durable artifact in ``experiments``
-    uses (sweep checkpoints here, shard checkpoint streams in
-    :mod:`repro.experiments.sharding`): checksums are computed over this
-    canonical form, so formatting can never affect integrity checks.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def checksum_text(text: str) -> str:
-    """SHA-256 hex digest of ``text`` (the checkpoint integrity hash)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-# Historical private aliases (internal call sites predate the public names).
-_canonical = canonical_json
-_checksum = checksum_text
 
 
 def summary_to_dict(summary: Summary) -> Dict[str, Any]:
@@ -182,11 +161,11 @@ class CheckpointStore:
         concurrent reader (or a crash) never observes a partial file.
         """
         payload = point_to_dict(point)
-        body = _canonical(payload)
-        document = _canonical(
+        body = canonical_json(payload)
+        document = canonical_json(
             {
                 "schema": SCHEMA_VERSION,
-                "checksum": _checksum(body),
+                "checksum": checksum_text(body),
                 "payload": payload,
             }
         )
@@ -272,7 +251,7 @@ class CheckpointStore:
         if not isinstance(payload, dict):
             raise CheckpointError("checkpoint payload missing")
         expected = document.get("checksum")
-        actual = _checksum(_canonical(payload))
+        actual = checksum_text(canonical_json(payload))
         if expected != actual:
             raise CheckpointError(
                 f"checkpoint checksum mismatch: recorded {expected!r}, "

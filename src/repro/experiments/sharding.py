@@ -58,7 +58,6 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -68,9 +67,13 @@ from typing import (
 
 from repro import obs
 from repro.auction.multi_round import CampaignResult, aggregate_rounds
-from repro.durability.journal import FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF
+from repro.durability.recordlog import (
+    FSYNC_BATCH,
+    RecordLog,
+    check_fsync_policy,
+    recover,
+)
 from repro.errors import CheckpointError, ShardingError
-from repro.experiments.checkpoint import canonical_json, checksum_text
 from repro.experiments.config import MechanismSpec
 from repro.model.columnar import (
     RoundColumns,
@@ -92,15 +95,11 @@ from repro.simulation.workload import WorkloadConfig
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_positive, check_type
 
-#: Schema tag on every shard checkpoint record.
-SHARD_CHECKPOINT_SCHEMA = "repro-shard-checkpoint/1"
+#: Schema tag on every shard checkpoint record (``/2``: records framed
+#: and hash-chained by :mod:`repro.durability.recordlog`).
+SHARD_CHECKPOINT_SCHEMA = "repro-shard-checkpoint/2"
 
-_FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF)
 _CITY_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
-
-#: How many checkpoint records may accumulate between fsyncs under the
-#: ``batch`` policy (mirrors the journal's batching discipline).
-CHECKPOINT_FSYNC_BATCH = 8
 
 
 # ----------------------------------------------------------------------
@@ -323,11 +322,11 @@ class ShardCheckpointWriter:
     """Append per-round checkpoint records concurrently with compute.
 
     The shard worker enqueues ``(round_index, blob)`` pairs; a background
-    thread encodes each as one checksummed JSONL record and appends it,
-    fsyncing per the journal's policies (``always`` / ``batch`` /
-    ``off``).  :meth:`close` drains the queue, fsyncs the tail, and
-    re-raises any error the writer thread hit — so a failed append (or an
-    injected crash) surfaces on the shard, not silently.
+    thread appends each as one record of the shard's
+    :class:`~repro.durability.recordlog.RecordLog` (opened, and so
+    recovered, here).  :meth:`close` drains the queue, fsyncs the tail,
+    and re-raises any error the writer thread hit — so a failed append
+    (or an injected crash) surfaces on the shard, not silently.
     """
 
     _SENTINEL = object()
@@ -336,23 +335,19 @@ class ShardCheckpointWriter:
         self,
         path: "os.PathLike[str]",
         fsync: str = FSYNC_BATCH,
-        batch_size: int = CHECKPOINT_FSYNC_BATCH,
-        crash_hook: Optional[Callable[[int], None]] = None,
+        crash_hook: Optional[Any] = None,
     ) -> None:
-        if fsync not in _FSYNC_POLICIES:
-            raise ShardingError(
-                f"unknown fsync policy {fsync!r}; expected one of "
-                f"{_FSYNC_POLICIES}"
-            )
-        self._path = pathlib.Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._fsync = fsync
-        self._batch_size = max(1, batch_size)
-        self._crash_hook = crash_hook
+        check_fsync_policy(fsync, ShardingError)
+        self._log = RecordLog(
+            path,
+            _decode_round,
+            CheckpointError,
+            fsync=fsync,
+            crash_hook=crash_hook,
+        )
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._error: Optional[BaseException] = None
         self._appended = 0
-        self._handle = open(self._path, "ab")
         self._thread = threading.Thread(
             target=self._run, name="shard-checkpoint", daemon=True
         )
@@ -373,16 +368,18 @@ class ShardCheckpointWriter:
         """Drain, fsync the tail, join the thread; re-raise its error."""
         self._queue.put(self._SENTINEL)
         self._thread.join()
-        self._handle.close()
-        if self._error is not None:
-            self._raise_pending()
+        try:
+            self._log.close()
+        finally:
+            if self._error is not None:
+                self._raise_pending()
 
     def abort(self) -> None:
         """Best-effort shutdown that never raises (error paths)."""
         self._queue.put(self._SENTINEL)
         self._thread.join()
         try:
-            self._handle.close()
+            self._log.close()
         except OSError:  # pragma: no cover - defensive
             pass
 
@@ -392,7 +389,6 @@ class ShardCheckpointWriter:
         raise error
 
     def _run(self) -> None:
-        pending_fsync = 0
         while True:
             item = self._queue.get()
             if item is self._SENTINEL:
@@ -401,123 +397,67 @@ class ShardCheckpointWriter:
                 continue  # drain without writing after a failure
             round_index, blob = item
             try:
-                line = encode_checkpoint_record(round_index, blob)
-                self._handle.write(line)
-                self._handle.flush()
+                self._log.append(
+                    {
+                        "payload": base64.b64encode(blob).decode("ascii"),
+                        "round": round_index,
+                        "schema": SHARD_CHECKPOINT_SCHEMA,
+                    }
+                )
                 self._appended += 1
-                pending_fsync += 1
-                if self._crash_hook is not None:
-                    self._crash_hook(self._appended)
-                if self._fsync == FSYNC_ALWAYS or (
-                    self._fsync == FSYNC_BATCH
-                    and pending_fsync >= self._batch_size
-                ):
-                    start = perf_seconds()
-                    os.fsync(self._handle.fileno())
-                    obs.observe(
-                        "campaign.shard.fsync.seconds",
-                        perf_seconds() - start,
-                    )
-                    pending_fsync = 0
             except BaseException as exc:  # noqa: BLE001 - ferried to caller
                 self._error = exc
-        if self._error is None and self._fsync != FSYNC_OFF:
-            try:
-                self._handle.flush()
-                if pending_fsync:
-                    os.fsync(self._handle.fileno())
-            except OSError as exc:  # pragma: no cover - device failure
-                self._error = exc
 
 
-def encode_checkpoint_record(round_index: int, blob: bytes) -> bytes:
-    """One shard checkpoint record as a checksummed JSONL line.
-
-    The checksum covers the canonical JSON of the record body (the
-    sweep-checkpoint convention from
-    :mod:`repro.experiments.checkpoint`), so torn or corrupted lines are
-    detected on load (:func:`load_shard_checkpoint`).
-    """
-    body = {
-        "schema": SHARD_CHECKPOINT_SCHEMA,
-        "round": round_index,
-        "payload": base64.b64encode(blob).decode("ascii"),
-    }
-    record = dict(body)
-    record["checksum"] = checksum_text(canonical_json(body))
-    return (canonical_json(record) + "\n").encode("utf-8")
+def _decode_round(
+    fields: Dict[str, Any], seq: int, prev: str, digest: str
+) -> Tuple[int, bytes]:
+    """The shard checkpoint's payload decoder: ``(round, blob)``."""
+    if fields.get("schema") != SHARD_CHECKPOINT_SCHEMA:
+        raise CheckpointError(
+            f"record {seq} has schema {fields.get('schema')!r}, not "
+            f"{SHARD_CHECKPOINT_SCHEMA!r}",
+            sequence=seq,
+        )
+    try:
+        return int(fields["round"]), base64.b64decode(
+            fields["payload"], validate=True
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"record {seq} carries an undecodable round: {exc}",
+            sequence=seq,
+        ) from exc
 
 
 def load_shard_checkpoint(
     path: "os.PathLike[str]",
 ) -> Dict[int, bytes]:
-    """Load a shard checkpoint, repairing a torn final line.
+    """``round_index -> pickled SimulationResult`` of a shard checkpoint.
 
-    Returns ``round_index -> pickled SimulationResult`` for every
-    record.  The write-ahead journal's contract applies: only the
-    *final* line may be bad — unparseable, checksum-failing, or intact
-    but missing its newline — which is the signature of a crash
-    mid-append; the file is truncated back to the line's start so
-    resumed appends continue a clean log.  A bad line with an intact
-    record after it cannot come from a crash of the append-only writer,
-    so loading raises :class:`~repro.errors.CheckpointError` naming the
-    line and leaves the file untouched.  A later record for an
-    already-seen round wins (duplicate appends from a crash between
-    write and fsync are harmless).
+    The record log's contract applies (:mod:`repro.durability.recordlog`):
+    a torn final record is truncated, a bad record with an intact one
+    after it raises :class:`~repro.errors.CheckpointError`.  So does a
+    file written under another schema (``repro-shard-checkpoint/1``),
+    which is never recomputed over.  A later record for a round wins.
     """
     target = pathlib.Path(path)
     try:
-        raw = target.read_bytes()
+        with open(target, "rb") as handle:
+            first = handle.readline()
     except FileNotFoundError:
         return {}
-    lines = raw.split(b"\n")
-    filled = [index for index, line in enumerate(lines) if line.strip()]
-    final = filled[-1] if filled else -1
-    records: Dict[int, bytes] = {}
-    offset = 0
-    for index, line in enumerate(lines):
-        start = offset
-        offset += len(line) + 1
-        if not line.strip():
-            continue
-        blob = _decode_checkpoint_line(line)
-        if blob is not None and (index < len(lines) - 1):
-            records[blob[0]] = blob[1]
-            continue
-        if index != final:
-            raise CheckpointError(
-                f"{target}: line {index + 1} is corrupt but intact "
-                f"records follow it; a crash only tears the final line, "
-                f"so the file is left as it is"
-            )
-        with open(target, "r+b") as handle:
-            handle.truncate(start)
-        obs.counter("campaign.shard.checkpoint.torn")
-    return records
-
-
-def _decode_checkpoint_line(
-    line: bytes,
-) -> Optional[Tuple[int, bytes]]:
-    """Decode one checkpoint line; ``None`` if torn/corrupt/foreign."""
     try:
-        record = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if (
-        not isinstance(record, dict)
-        or record.get("schema") != SHARD_CHECKPOINT_SCHEMA
-    ):
-        return None
-    checksum = record.pop("checksum", None)
-    if checksum != checksum_text(canonical_json(record)):
-        return None
-    try:
-        return int(record["round"]), base64.b64decode(
-            record["payload"], validate=True
+        schema = json.loads(first).get("schema")
+    except (ValueError, AttributeError):
+        schema = SHARD_CHECKPOINT_SCHEMA  # a torn line: the scan judges it
+    if schema != SHARD_CHECKPOINT_SCHEMA:
+        raise CheckpointError(
+            f"{target} was written under schema {schema!r}; this build "
+            f"reads {SHARD_CHECKPOINT_SCHEMA!r}.  Move the file away to "
+            f"recompute its rounds"
         )
-    except (KeyError, TypeError, ValueError):
-        return None
+    return dict(recover(target, _decode_round, CheckpointError).records)
 
 
 def shard_checkpoint_path(
@@ -540,7 +480,7 @@ def shard_checkpoint_path(
 # ----------------------------------------------------------------------
 def _run_shard(
     task: ShardTask,
-    crash_hook: Optional[Callable[[int], None]] = None,
+    crash_hook: Optional[Any] = None,
 ) -> ShardOutcome:
     """Execute one shard: attach, decode, run, stream checkpoints.
 
@@ -652,7 +592,7 @@ def run_sharded_campaign(
     fsync: str = FSYNC_BATCH,
     heartbeat: Optional[HeartbeatConfig] = None,
     submission_order: Optional[Sequence[int]] = None,
-    checkpoint_crash_hook: Optional[Callable[[int], None]] = None,
+    checkpoint_crash_hook: Optional[Any] = None,
 ) -> ShardedCampaignResult:
     """Run a multi-city campaign sharded over a persistent process pool.
 
@@ -680,7 +620,7 @@ def run_sharded_campaign(
         directory concurrently with compute and a rerun resumes
         mid-shard, recomputing only missing rounds — byte-identically.
     fsync:
-        Checkpoint durability policy (the journal's ``always`` /
+        Checkpoint durability policy (the record log's ``always`` /
         ``batch`` / ``off``).
     heartbeat:
         Optional live progress: workers pulse per-round sidecar beats
@@ -690,18 +630,15 @@ def run_sharded_campaign(
         Permutation of shard ids fixing pool submission order (tests);
         default plan order.  Outcomes do not depend on it.
     checkpoint_crash_hook:
-        Test-only fault hook called after each durable append (e.g. a
-        :class:`~repro.faults.crash.CrashController` raising a
-        :class:`~repro.faults.crash.SimulatedCrash` mid-shard).
+        Test-only fault hook of every shard's checkpoint log: a
+        :class:`~repro.faults.crash.CrashController`, counting writes
+        across shards and raising
+        :class:`~repro.faults.crash.SimulatedCrash` at its planned one.
         Requires ``workers=1`` — hooks cannot cross the pool boundary.
     """
     if workers < 1:
         raise ShardingError(f"workers must be >= 1, got {workers}")
-    if fsync not in _FSYNC_POLICIES:
-        raise ShardingError(
-            f"unknown fsync policy {fsync!r}; expected one of "
-            f"{_FSYNC_POLICIES}"
-        )
+    check_fsync_policy(fsync, ShardingError)
     if checkpoint_crash_hook is not None:
         if workers != 1:
             raise ShardingError(

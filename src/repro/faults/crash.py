@@ -1,8 +1,8 @@
-"""Seeded crash-fault injection for the write-ahead journal.
+"""Seeded crash-fault injection for the strict record logs.
 
 A :class:`CrashPlan` describes one process death, drawn deterministically
 from the :class:`~repro.utils.rng.RngStreams` discipline like every
-other fault in this package: *the process dies during its Nth journal
+other fault in this package: *the process dies during its Nth log
 write*, optionally corrupting the record it was writing the way real
 crashes do —
 
@@ -12,20 +12,25 @@ crashes do —
   mid-``write``);
 * ``"duplicate"`` — the record's bytes land twice (a retried write that
   had in fact succeeded);
-* ``"flip"`` — one character of the record's stored checksum is flipped
+* ``"flip"`` — one character of the record's stored hash is flipped
   (media corruption of the tail).
 
-All four leave at most the *final* record of the journal invalid, which
-is exactly the class of damage recovery repairs by truncation
-(:func:`repro.durability.journal.scan_journal`); the journal's hash
-chain turns anything worse into a typed refusal.
+All four leave at most the *final* record of a log invalid, which is
+exactly the damage recovery repairs by truncation
+(:func:`repro.durability.recordlog.recover`); the hash chain turns
+anything worse into a typed refusal.
 
-:class:`CrashController` is the runtime half: it plugs into
-``Journal(crash_hook=...)`` and raises :class:`SimulatedCrash` at the
-planned write.  The "dead" journal object refuses further appends; the
-test or driver then recovers by opening a fresh
-:class:`~repro.durability.Journal` over the same directory, exactly as
-a restarted process would.
+:class:`CrashController` is the runtime half.  It plugs into the one
+crash-hook protocol of :class:`~repro.durability.recordlog.RecordLog`
+— ``mutate(seq, data)`` before a record's bytes are written,
+``after_append(seq)`` after — so it drives both strict logs: the
+write-ahead journal (``Journal(crash_hook=...)``) and the shard
+checkpoints (``run_sharded_campaign(checkpoint_crash_hook=...)``, whose
+writes it counts across shards).  It raises :class:`SimulatedCrash` at
+the planned write; the "dead" log refuses further appends, and the test
+or driver recovers by reopening the log — a fresh
+:class:`~repro.durability.Journal`, or a re-run of the campaign —
+exactly as a restarted process would.
 """
 
 from __future__ import annotations
@@ -50,12 +55,12 @@ class SimulatedCrash(FaultError):
 
 @dataclasses.dataclass(frozen=True)
 class CrashPlan:
-    """One deterministic process death, in journal-write coordinates.
+    """One deterministic process death, in log-write coordinates.
 
     Attributes
     ----------
     after_writes:
-        The 1-based journal write during which the process dies (the
+        The 1-based log write during which the process dies (the
         record of that write is the one corrupted).
     mode:
         One of :data:`CRASH_MODES`.
@@ -168,9 +173,9 @@ def _flip_checksum(data: bytes, offset: int) -> bytes:
 
 
 class CrashController:
-    """The journal-side hook executing a :class:`CrashPlan`.
+    """The log-side hook executing a :class:`CrashPlan`.
 
-    Counts journal writes; at write ``plan.after_writes`` it corrupts
+    Counts log writes; at write ``plan.after_writes`` it corrupts
     the outgoing bytes per ``plan.mode`` (``mutate``) and raises
     :class:`SimulatedCrash` once the bytes are on disk
     (``after_append``).  :attr:`fired` records whether the death
@@ -206,7 +211,7 @@ class CrashController:
         if self.writes == self.plan.after_writes and not self.fired:
             self.fired = True
             raise SimulatedCrash(
-                f"simulated crash during journal write "
+                f"simulated crash during log write "
                 f"{self.plan.after_writes} (mode {self.plan.mode!r}, "
                 f"record seq {seq})"
             )

@@ -144,6 +144,10 @@ class RunRecord:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
         """Inverse of :meth:`to_dict` (schema-checked)."""
+        if not isinstance(data, Mapping):
+            raise LedgerError(
+                f"ledger record is not a JSON object: {data!r}"
+            )
         if data.get("schema") != LEDGER_SCHEMA:
             raise LedgerError(
                 f"not a {LEDGER_SCHEMA} record "
@@ -189,8 +193,9 @@ def make_run_id(
 class LedgerView:
     """The readable content of a ledger file.
 
-    ``skipped_lines`` counts lines that were blank, corrupt, or of an
-    unknown schema — reported, never fatal.
+    ``skipped_lines`` counts lines that were corrupt, not a JSON object,
+    or of an unknown schema — reported, never fatal.  Blank lines are
+    skipped without being counted.
     """
 
     records: Tuple[RunRecord, ...]

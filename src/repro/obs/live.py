@@ -6,7 +6,7 @@ minutes at a time; the only progress signal is the shell cursor.  A
 :meth:`Heartbeat.beat` once per completed unit (round, repetition,
 sweep point), and every ``every``-th completion emits one structured
 record — progress, units/second, ETA, and a snapshot of the watched
-telemetry counters (journal fsync latency, reassignments, retries) —
+telemetry counters (record-log fsync latency, reassignments, retries) —
 to a JSONL file and/or the CLI console.
 
 Two invariants shape the design:
@@ -52,15 +52,15 @@ HEARTBEAT_SCHEMA = "repro-heartbeat/1"
 WATCHED_COUNTERS = (
     "campaign.shard.rounds",
     "journal.appends",
-    "journal.rotations",
     "online.stream.events",
     "platform.reassignments",
     "sweep.retries",
     "sweep.checkpoint.hits",
 )
 
-#: Histogram whose summary rides along (journal fsync latency).
-FSYNC_HISTOGRAM = "journal.fsync.seconds"
+#: Histogram whose summary rides along (record-log fsync latency: the
+#: journal's and the shard checkpoints').
+FSYNC_HISTOGRAM = "recordlog.fsync.seconds"
 
 
 class HeartbeatError(ObservabilityError):

@@ -55,6 +55,16 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "event", _sample_events(), ids=lambda e: type(e).__name__
     )
+    def test_to_dict_equals_asdict_in_field_order(self, event):
+        """The shallow field read is ``dataclasses.asdict``, key order
+        included (every event field is a scalar)."""
+        expected = {"event": type(event).__name__}
+        expected.update(dataclasses.asdict(event))
+        assert list(event.to_dict().items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "event", _sample_events(), ids=lambda e: type(e).__name__
+    )
     def test_every_event_class_round_trips(self, event):
         payload = event.to_dict()
         assert payload["event"] == type(event).__name__

@@ -1,11 +1,19 @@
 """The crash-recovery property: kill anywhere, recover byte-identically.
 
-For each seeded faulty round this suite re-runs the journaled round
-once per journal-write index, simulating a process death *after every
-single write* (cycling through all four corruption modes: clean kill,
-torn final record, duplicated final record, flipped checksum byte),
-then recovers from the journal on disk and resumes.  The resumed
-:class:`~repro.model.AuctionOutcome` must be byte-identical (pickled
+Both strict logs run over one record log with one crash-hook protocol
+(:mod:`repro.durability.recordlog`), so one suite covers both clients:
+
+* the write-ahead **journal** — a seeded faulty journaled round, resumed
+  from its journal with :func:`~repro.durability.resume_round`;
+* the **shard checkpoints** — a seeded two-city sharded campaign,
+  resumed by re-running :func:`~repro.experiments.sharding.run_sharded_campaign`
+  over its checkpoint directory.
+
+For each seed and client the suite re-runs the workload once per log
+write, simulating a process death *after every single write* (cycling
+through all four corruption modes: clean kill, torn final record,
+duplicated final record, flipped checksum byte), then recovers from the
+log on disk.  The recovered result must be byte-identical (pickled
 bytes) to the uncrashed run's — the durability layer's core guarantee.
 
 CI rotates ``--crash-seed`` with the run number so every run explores a
@@ -15,6 +23,7 @@ fresh region of crash-schedule space.
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 
@@ -25,6 +34,8 @@ from repro.durability import (
     resume_round,
     round_commands,
 )
+from repro.experiments.config import MechanismSpec
+from repro.experiments.sharding import CityConfig, run_sharded_campaign
 from repro.faults import (
     CRASH_MODES,
     CrashController,
@@ -38,7 +49,7 @@ from repro.faults.recovery import apply_bid_faults
 from repro.simulation import WorkloadConfig
 from repro.utils.rng import RngStreams
 
-#: Seeds per session; each seed exercises EVERY write index of its round.
+#: Seeds per session; each seed exercises EVERY write index of its run.
 NUM_SEEDS = 50
 
 WORKLOAD = WorkloadConfig(
@@ -58,59 +69,102 @@ FAULTS = FaultConfig(
 )
 
 
-def _round_under_test(seed):
-    """The faulty round's command stream and platform configuration."""
-    scenario = WORKLOAD.generate(seed=seed)
-    plan = FaultInjector(FAULTS).plan(scenario, seed=seed)
-    bids, _, _ = apply_bid_faults(list(scenario.truthful_bids()), plan)
-    commands = round_commands(bids, scenario, plan)
-    return scenario, plan, commands
+class JournalClient:
+    """A seeded faulty round journaled by :class:`JournaledPlatform`."""
 
-
-def _run_journaled(directory, scenario, plan, commands, crash_hook=None):
-    journal = Journal(directory, crash_hook=crash_hook)
-    try:
-        platform = JournaledPlatform(
-            journal,
-            num_slots=scenario.num_slots,
-            max_reassignments=plan.config.max_reassignments,
+    def __init__(self, seed):
+        scenario = WORKLOAD.generate(seed=seed)
+        self.plan = FaultInjector(FAULTS).plan(scenario, seed=seed)
+        bids, _, _ = apply_bid_faults(
+            list(scenario.truthful_bids()), self.plan
         )
-        outcome = execute_commands(platform, commands)
-    finally:
-        journal.close()
-    return outcome, journal
+        self.scenario = scenario
+        self.commands = round_commands(bids, scenario, self.plan)
+
+    def run(self, directory, crash_hook=None):
+        """The pickled outcome of the round journaled in ``directory``."""
+        journal = Journal(directory, crash_hook=crash_hook)
+        try:
+            platform = JournaledPlatform(
+                journal,
+                num_slots=self.scenario.num_slots,
+                max_reassignments=self.plan.config.max_reassignments,
+            )
+            outcome = execute_commands(platform, self.commands)
+        finally:
+            journal.close()
+        assert outcome is not None
+        return pickle.dumps(outcome)
+
+    def recover(self, directory):
+        """Reopen the journal (repairing any torn tail) and resume."""
+        with Journal(directory) as journal:
+            result = resume_round(
+                journal,
+                self.commands,
+                num_slots=self.scenario.num_slots,
+                max_reassignments=self.plan.config.max_reassignments,
+            )
+        return pickle.dumps(result.outcome)
 
 
-def _recover_and_resume(directory, scenario, plan, commands):
-    with Journal(directory) as journal:  # open repairs any torn tail
-        result = resume_round(
-            journal,
-            commands,
-            num_slots=scenario.num_slots,
-            max_reassignments=plan.config.max_reassignments,
+class ShardCheckpointClient:
+    """A seeded two-city sharded campaign streaming shard checkpoints."""
+
+    SPEC = MechanismSpec.of("online-greedy")
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.cities = [
+            CityConfig("east", WORKLOAD, num_rounds=3),
+            CityConfig("west", WORKLOAD, num_rounds=2),
+        ]
+
+    def run(self, directory, crash_hook=None):
+        """The pickled campaign checkpointed into ``directory``."""
+        result = run_sharded_campaign(
+            self.SPEC,
+            self.cities,
+            seed=self.seed,
+            shards_per_city=2,
+            checkpoint_dir=directory,
+            checkpoint_crash_hook=crash_hook,
         )
-    return result.outcome
+        return pickle.dumps(result, protocol=4)
+
+    def recover(self, directory):
+        """Re-run the campaign: it resumes from the checkpoints."""
+        return self.run(directory)
+
+
+CLIENTS = {"journal": JournalClient, "shard-checkpoint": ShardCheckpointClient}
+
+
+@pytest.fixture(scope="module", params=sorted(CLIENTS))
+def client_kind(request):
+    return request.param
 
 
 @pytest.fixture(scope="module", params=range(NUM_SEEDS))
-def crash_round(request, crash_seed, tmp_path_factory):
+def crash_round(request, client_kind, crash_seed, tmp_path_factory):
+    """``(seed, client, total_writes, uncrashed pickled result)``."""
     seed = crash_seed + request.param
-    scenario, plan, commands = _round_under_test(seed)
-    base_dir = tmp_path_factory.mktemp(f"crash-{seed}")
-    baseline, journal = _run_journaled(
-        base_dir / "baseline", scenario, plan, commands
-    )
-    assert baseline is not None
-    return seed, scenario, plan, commands, len(journal.records), baseline
+    client = CLIENTS[client_kind](seed)
+    base_dir = tmp_path_factory.mktemp(f"crash-{client_kind}-{seed}")
+    counter = CrashController(CrashPlan(after_writes=sys.maxsize))
+    baseline = client.run(base_dir / "baseline", crash_hook=counter)
+    assert not counter.fired
+    if client_kind == "journal":
+        # commands + derived events
+        assert counter.writes > len(client.commands)
+    return seed, client, counter.writes, baseline
 
 
 class TestCrashAfterEveryWrite:
     def test_recovery_is_byte_identical_at_every_write_index(
         self, crash_round, tmp_path
     ):
-        seed, scenario, plan, commands, total_writes, baseline = crash_round
-        expected = pickle.dumps(baseline)
-        assert total_writes > len(commands)  # commands + derived events
+        seed, client, total_writes, expected = crash_round
         for index in range(1, total_writes + 1):
             mode = CRASH_MODES[index % len(CRASH_MODES)]
             directory = tmp_path / f"write-{index}"
@@ -123,17 +177,12 @@ class TestCrashAfterEveryWrite:
                 )
             )
             with pytest.raises(SimulatedCrash):
-                _run_journaled(
-                    directory, scenario, plan, commands,
-                    crash_hook=controller,
-                )
+                client.run(directory, crash_hook=controller)
             assert controller.fired, (
                 f"seed {seed}: crash at write {index} never fired"
             )
-            recovered = _recover_and_resume(
-                directory, scenario, plan, commands
-            )
-            assert pickle.dumps(recovered) == expected, (
+            recovered = client.recover(directory)
+            assert recovered == expected, (
                 f"seed {seed}: recovery after {mode} crash at write "
                 f"{index}/{total_writes} diverged from the uncrashed run"
             )
@@ -141,21 +190,15 @@ class TestCrashAfterEveryWrite:
 
 class TestSeededCrashPlans:
     def test_drawn_plan_recovers_byte_identically(self, crash_round, tmp_path):
-        seed, scenario, plan, commands, total_writes, baseline = crash_round
+        seed, client, total_writes, expected = crash_round
         crash_plan = draw_crash_plan(
             RngStreams(seed), total_writes=total_writes
         )
         directory = tmp_path / "drawn"
         with pytest.raises(SimulatedCrash):
-            _run_journaled(
-                directory,
-                scenario,
-                plan,
-                commands,
-                crash_hook=CrashController(crash_plan),
-            )
-        recovered = _recover_and_resume(directory, scenario, plan, commands)
-        assert pickle.dumps(recovered) == pickle.dumps(baseline), (
+            client.run(directory, crash_hook=CrashController(crash_plan))
+        recovered = client.recover(directory)
+        assert recovered == expected, (
             f"seed {seed}: drawn plan {crash_plan} diverged"
         )
 

@@ -133,28 +133,19 @@ class TestAppendAndScan:
             journal.append(KIND_COMMAND, PhoneDropped(slot=1, phone_id=0))
 
 
-class TestRotation:
-    def test_segments_rotate_by_size(self, tmp_path):
-        with Journal(tmp_path, segment_bytes=256) as journal:
-            _fill(journal, 20)
-        segments = segment_paths(tmp_path)
-        assert len(segments) > 1
-        assert [p.name for p in segments] == sorted(p.name for p in segments)
-
-    def test_scan_spans_segments(self, tmp_path):
-        with Journal(tmp_path, segment_bytes=256) as journal:
-            written = _fill(journal, 20)
-        scan = scan_journal(tmp_path)
-        assert list(scan.records) == written
-        assert len(scan.segments) == len(segment_paths(tmp_path))
-
-    def test_reopen_after_rotation_appends_to_last_segment(self, tmp_path):
-        with Journal(tmp_path, segment_bytes=256) as journal:
-            _fill(journal, 20)
-            last_seq = journal.last_seq
-        with Journal(tmp_path, segment_bytes=256) as journal:
-            journal.append(KIND_COMMAND, PhoneDropped(slot=1, phone_id=77))
-        assert scan_journal(tmp_path).last_seq == last_seq + 1
+class TestSingleSegment:
+    def test_second_segment_file_is_refused_by_name(self, tmp_path):
+        """Segment rotation is gone: a directory with a second segment
+        file (written by a rotating build) is refused, never half-read."""
+        with Journal(tmp_path) as journal:
+            _fill(journal, 3)
+        extra = tmp_path / "segment-00000002.jsonl"
+        extra.write_bytes(_segment(tmp_path).read_bytes())
+        with pytest.raises(JournalError, match="segment-00000002.jsonl"):
+            Journal(tmp_path)
+        with pytest.raises(JournalError, match="segment-00000002.jsonl"):
+            scan_journal(tmp_path)
+        assert len(segment_paths(tmp_path)) == 2  # nothing was touched
 
 
 class TestRecovery:
@@ -230,14 +221,6 @@ class TestRecovery:
         # sequence 2 would silently discard good records 4 and 5.
         with pytest.raises(JournalError, match="mid-log corruption"):
             Journal(tmp_path)
-
-    def test_repair_false_raises_on_torn_tail(self, tmp_path):
-        segment = self._journal_with_tail(tmp_path)
-        segment.write_bytes(segment.read_bytes()[:-17])
-        with pytest.raises(JournalError, match="torn"):
-            Journal(tmp_path, repair=False)
-        # read-only scan still succeeds and reports the tear
-        assert scan_journal(tmp_path).torn
 
     def test_empty_directory_is_a_valid_empty_journal(self, tmp_path):
         scan = scan_journal(tmp_path / "fresh")

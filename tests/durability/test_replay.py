@@ -336,7 +336,7 @@ class TestVerifyLogSurface:
         document = json.dumps(
             {
                 "records": len(scan.records),
-                "segments": [p.name for p in scan.segments],
+                "path": scan.path.name,
                 "last_seq": scan.last_seq,
                 "torn": scan.torn,
                 "truncated_bytes": scan.truncated_bytes,

@@ -15,6 +15,8 @@ The acceptance contract under test:
 from __future__ import annotations
 
 import glob
+import json
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -32,10 +34,18 @@ from repro.experiments.sharding import (
     run_sharded_campaign,
     shard_checkpoint_path,
 )
-from repro.faults.crash import SimulatedCrash
+from repro.faults.crash import CrashController, CrashPlan, SimulatedCrash
 from repro.simulation.workload import WorkloadConfig
 
 SPEC = MechanismSpec.of("online-greedy")
+
+#: A two-round shard checkpoint written under schema 1 (unchained,
+#: ``checksum`` field) for ``solo`` at seed 0.
+SCHEMA_1_FILE = (
+    pathlib.Path(__file__).parent
+    / "data"
+    / "v1-solo-rounds-00000-00002.ckpt.jsonl"
+)
 
 
 def tiny_workload(**overrides):
@@ -327,14 +337,45 @@ class TestCheckpointing:
             0: b"new"
         }
 
+    def test_records_are_chained_under_schema_2(self, tmp_path):
+        target = tmp_path / "c.ckpt.jsonl"
+        writer = ShardCheckpointWriter(target)
+        writer.append(0, b"alpha")
+        writer.append(1, b"beta")
+        writer.close()
+        first, second = (
+            json.loads(line) for line in target.read_bytes().splitlines()
+        )
+        assert first["schema"] == "repro-shard-checkpoint/2"
+        assert (first["seq"], second["seq"]) == (1, 2)
+        assert second["prev"] == first["hash"]
+
+    @pytest.mark.parametrize("lines", [None, 1])
+    def test_schema_1_file_is_refused_untouched(self, tmp_path, lines):
+        """A checkpoint written under schema 1 is neither recomputed
+        over nor truncated — even a single-record one, whose only line
+        would otherwise look like a torn tail."""
+        cities = [CityConfig("solo", tiny_workload(), num_rounds=2)]
+        (plan,) = plan_shards(cities, seed=0)
+        target = shard_checkpoint_path(tmp_path, plan)
+        original = SCHEMA_1_FILE.read_bytes()
+        if lines is not None:
+            original = b"".join(original.splitlines(keepends=True)[:lines])
+        target.write_bytes(original)
+        with pytest.raises(CheckpointError, match="repro-shard-checkpoint/1"):
+            load_shard_checkpoint(target)
+        with pytest.raises(CheckpointError, match="repro-shard-checkpoint/1"):
+            run_sharded_campaign(SPEC, cities, seed=0, checkpoint_dir=tmp_path)
+        assert target.read_bytes() == original
+
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert load_shard_checkpoint(tmp_path / "absent.jsonl") == {}
 
     def test_writer_error_surfaces_on_close(self, tmp_path):
         writer = ShardCheckpointWriter(tmp_path / "e.ckpt.jsonl")
-        writer._handle.close()  # provoke a write failure in the thread
+        writer._log.close()  # provoke a write failure in the thread
         writer.append(0, b"x")
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError, match="closed"):
             writer.close()
 
     def test_unknown_fsync_policy_rejected(self, tmp_path):
@@ -352,12 +393,7 @@ class TestCrashInjection:
         reference = result_bytes(
             run_sharded_campaign(SPEC, cities, seed=13)
         )
-        appended = {"n": 0}
-
-        def crash_hook(count: int) -> None:
-            appended["n"] = count
-            if count == 2:
-                raise SimulatedCrash("die after the second append")
+        crash_hook = CrashController(CrashPlan(after_writes=2))
 
         with pytest.raises(SimulatedCrash):
             run_sharded_campaign(
@@ -368,7 +404,7 @@ class TestCrashInjection:
                 fsync="always",
                 checkpoint_crash_hook=crash_hook,
             )
-        assert appended["n"] == 2
+        assert crash_hook.writes == 2
         (plan,) = plan_shards(cities, seed=13)
         survived = load_shard_checkpoint(
             shard_checkpoint_path(tmp_path, plan)
@@ -471,8 +507,7 @@ class TestSharedMemoryLifecycle:
         assert_segments_gone(spy.names)
 
     def test_injected_crash_unlinks_segments(self, spy, tmp_path):
-        def crash_hook(count: int) -> None:
-            raise SimulatedCrash("immediate")
+        crash_hook = CrashController(CrashPlan(after_writes=1))
 
         with pytest.raises(SimulatedCrash):
             run_sharded_campaign(

@@ -136,6 +136,19 @@ class TestRunLedgerIO:
         assert [r.run_id for r in view.records] == ["good", "also-good"]
         assert view.skipped_lines == 2
 
+    def test_non_object_lines_skipped_and_counted(self, tmp_path):
+        """Valid JSON that is not an object (a list, a number, a
+        string) is a foreign line like any other, never a crash."""
+        path = tmp_path / "RUNS.jsonl"
+        ledger = RunLedger(path)
+        ledger.append(_record(run_id="good"))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[1,2]\n42\n\"text\"\nnull\n\n")
+        ledger.append(_record(run_id="also-good"))
+        view = ledger.read()
+        assert [r.run_id for r in view.records] == ["good", "also-good"]
+        assert view.skipped_lines == 4  # the blank line is not counted
+
     def test_skipped_lines_feed_the_counter(self, tmp_path):
         path = tmp_path / "RUNS.jsonl"
         path.write_text("garbage\n", encoding="utf-8")

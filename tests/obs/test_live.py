@@ -129,7 +129,7 @@ class TestHeartbeatChannels:
         tracer = Tracer(clock=ManualClock())
         with obs.activate(tracer):
             obs.counter("platform.reassignments", 3)
-            obs.observe("journal.fsync.seconds", 0.002)
+            obs.observe("recordlog.fsync.seconds", 0.002)
             pulse = Heartbeat(
                 HeartbeatConfig(every=1, console=Console(stream=buffer)),
                 total=1,
@@ -138,7 +138,7 @@ class TestHeartbeatChannels:
             record = pulse.beat(0)
         assert record is not None
         assert record["metrics"]["platform.reassignments"] == 3.0
-        assert record["metrics"]["journal.fsync.seconds"]["count"] == 1
+        assert record["metrics"]["recordlog.fsync.seconds"]["count"] == 1
         text = buffer.getvalue()
         assert "fsync mean 2.00ms" in text
         assert "reassigned 3" in text

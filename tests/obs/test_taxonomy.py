@@ -89,7 +89,7 @@ class TestTaxonomyDrift:
         for expected in (
             "ledger.appends",
             "heartbeat.emits",
-            "journal.fsync.seconds",
+            "recordlog.fsync.seconds",
             "platform.progress.slot",
             "platform.reassignments",
         ):
